@@ -4,7 +4,9 @@
 //
 // Rows shard/<scenario>/<n>/r<K> fork K rank processes per iteration, each
 // owning one contiguous node window of the topology, and step the scenario
-// to completion over the socketpair mesh.  Counters:
+// to completion over the socketpair mesh.  The ranks' work runs in the
+// children, whose CPU time the parent never sees, so rows are timed by wall
+// clock (UseRealTime) and every rate divides by it.  Counters:
 //
 //   msgs_xshard/s            — cross-shard MsgHeaders carried per second of
 //                              wall clock, summed over ranks.  The headline
@@ -93,7 +95,8 @@ void register_rows() {
                                std::to_string(ranks);
       benchmark::RegisterBenchmark(name.c_str(), BM_Sharded, row.scenario,
                                    row.n, ranks)
-          ->Unit(benchmark::kMillisecond);
+          ->Unit(benchmark::kMillisecond)
+          ->UseRealTime();
     }
   }
 }

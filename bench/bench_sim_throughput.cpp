@@ -7,12 +7,14 @@
 //   * sched/<name>/<n>/t<k>     — the cheapest large scenario under the
 //                                 parallel scheduler at 1/2/4/8 threads
 //                                 (n >= 4096, the parallel-speedup gate);
+//                                 wall-clock timed (UseRealTime), since the
+//                                 work runs on the pool's threads;
 //   * ascenario/<name>/<n>      — every channel-free scenario under the
 //                                 asynchronous engine (busy-tone
 //                                 synchronizer), serial scheduler;
 //   * asched/<name>/<n>/t<k>    — the largest channel-free scenario on the
 //                                 async engine's slot-phase scheduler at
-//                                 1/2/4/8 threads;
+//                                 1/2/4/8 threads, wall-clock timed;
 //   * async/synchronized/<side> — the asynchronous engine driving a
 //                                 synchronous protocol through the busy-tone
 //                                 synchronizer (Section 7.1);
@@ -126,7 +128,8 @@ void register_scenario_sweeps() {
               .c_str(),
           [scaling, n, threads](benchmark::State& state) {
             run_scenario(state, *scaling, n, threads);
-          });
+          })
+          ->UseRealTime();
     }
   }
   // Async slot-phase scaling: serial vs parallel delivery/fan-out sharding.
@@ -139,7 +142,8 @@ void register_scenario_sweeps() {
               .c_str(),
           [async_scaling, n, threads](benchmark::State& state) {
             run_async_scenario(state, *async_scaling, n, threads);
-          });
+          })
+          ->UseRealTime();
     }
   }
 }

@@ -23,9 +23,10 @@ P2pGlobalProcess::P2pGlobalProcess(const sim::LocalView& view,
 
 StepSpec P2pGlobalProcess::step_spec(std::uint64_t step) const {
   // Stage 0: max-id flood / BFS.  Stage 1: child census.  Stage 2: fold.
-  // Stage 3: result broadcast.  All point-to-point; the channel stays silent.
-  if (step == 1) return {StepKind::kFixed, 2};
-  return {StepKind::kFixed, stage_len_ + 1};
+  // Stage 3: result broadcast.  All point-to-point; the channel stays silent,
+  // so every stage is reactive: nodes sleep between messages.
+  if (step == 1) return {StepKind::kFixed, 2, /*reactive=*/true};
+  return {StepKind::kFixed, stage_len_ + 1, /*reactive=*/true};
 }
 
 void P2pGlobalProcess::step_begin(std::uint64_t step, sim::NodeContext& ctx) {

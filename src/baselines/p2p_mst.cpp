@@ -37,7 +37,8 @@ std::uint64_t P2pMstProcess::num_steps() const {
 }
 
 StepSpec P2pMstProcess::step_spec(std::uint64_t) const {
-  return {StepKind::kFixed, stage_len_};
+  // Purely message-driven: nodes sleep between messages (reactive).
+  return {StepKind::kFixed, stage_len_, /*reactive=*/true};
 }
 
 void P2pMstProcess::remove_child(EdgeId edge) {

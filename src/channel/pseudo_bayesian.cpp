@@ -13,6 +13,14 @@ RandomizedScheduler::RandomizedScheduler(double initial_backlog, bool pending,
       pending_(pending),
       collect_successes_(collect_successes) {}
 
+namespace {
+
+// Rivest's pseudo-Bayesian collision increment: collisions reveal at least
+// two stations; the Poisson posterior shifts up by 1/(e-2).
+double collision_increment() { return 1.0 / (std::exp(1.0) - 2.0); }
+
+}  // namespace
+
 bool RandomizedScheduler::should_transmit(Rng& rng) {
   MMN_REQUIRE(!done_, "scheduler already finished");
   if (contention_lane()) {
@@ -29,9 +37,7 @@ void RandomizedScheduler::observe(const sim::SlotObservation& obs,
   if (contention_lane()) {
     switch (obs.state) {
       case sim::SlotState::kCollision:
-        // Rivest's pseudo-Bayesian update: collisions reveal at least two
-        // stations; the Poisson posterior shifts up by 1/(e-2).
-        backlog_ += 1.0 / (std::exp(1.0) - 2.0);
+        backlog_ += collision_increment();
         break;
       case sim::SlotState::kSuccess:
         ++success_count_;
@@ -48,6 +54,16 @@ void RandomizedScheduler::observe(const sim::SlotObservation& obs,
   }
   transmitting_ = false;
   ++slot_parity_;
+}
+
+void RandomizedScheduler::skip_collisions(std::uint64_t slots) {
+  MMN_REQUIRE(!done_ && !pending_, "only an idle listener skips slots");
+  // One add per contention slot, in order: a closed form (k * increment)
+  // would round differently.
+  for (; slots > 0; --slots) {
+    if (contention_lane()) backlog_ += collision_increment();
+    ++slot_parity_;
+  }
 }
 
 }  // namespace mmn

@@ -44,6 +44,12 @@ class RandomizedScheduler {
   /// caller (obs.writer == own id).
   void observe(const sim::SlotObservation& obs, bool success_was_mine = false);
 
+  /// Equivalent to `slots` rounds of should_transmit() + observe() on
+  /// collision slots, for a station with nothing pending (it draws no
+  /// randomness): the backlog estimate and the lane parity advance exactly
+  /// as they would have, bit for bit.
+  void skip_collisions(std::uint64_t slots);
+
   /// All stations done (observed as an idle busy-tone slot).
   bool done() const { return done_; }
 

@@ -36,7 +36,7 @@ class ComputeStage final : public SteppedProcess {
   std::uint64_t num_steps() const override { return 3; }
 
   StepSpec step_spec(std::uint64_t step) const override {
-    if (step == 0) return {StepKind::kFixed, 2};
+    if (step == 0) return {StepKind::kFixed, 2, /*reactive=*/true};
     if (step == 1) return {};
     return {StepKind::kObserved, 0};
   }
@@ -70,6 +70,7 @@ class ComputeStage final : public SteppedProcess {
         } else {
           randomized_.emplace(2.0 * static_cast<double>(isqrt_ceil(view_.n)),
                               root, /*collect_successes=*/false);
+          if (!root) listen_only();
         }
         break;
       }
@@ -127,6 +128,7 @@ class ComputeStage final : public SteppedProcess {
       if (!capetanakis_->done()) capetanakis_->observe(obs, mine);
     } else if (!randomized_->done()) {
       randomized_->observe(obs, mine);
+      if (mine && randomized_->succeeded()) listen_only();
     }
     const std::uint64_t after = capetanakis_ ? capetanakis_->success_count()
                                              : randomized_->success_count();
@@ -145,8 +147,18 @@ class ComputeStage final : public SteppedProcess {
     return randomized_->done();
   }
 
+  void skip_slots(std::uint64_t, std::uint64_t slots) override {
+    randomized_->skip_collisions(slots);
+  }
+
  private:
   bool is_root() const { return partition_->tree_parent() == view_.self; }
+
+  // A randomized-stage listener with nothing left to send learns from a
+  // collision only the backlog estimate and lane parity, both replayable
+  // (skip_slots): it needs to run on idle slots (the end) and success slots
+  // (a partial to fold) only.  Capetanakis listeners still run every slot.
+  void listen_only() { wake_on_slots(sim::kWakeOnIdle | sim::kWakeOnSuccess); }
 
   const sim::LocalView& view_;
   GlobalFunctionConfig config_;

@@ -51,7 +51,7 @@ class MstProcess::ComputeStage final : public SteppedProcess {
 
   StepSpec step_spec(std::uint64_t step) const override {
     if (step == 0) return {StepKind::kObserved, 0};
-    if (step == 1) return {StepKind::kFixed, 2};
+    if (step == 1) return {StepKind::kFixed, 2, /*reactive=*/true};
     if ((step - 2) % 2 == 0) return {};  // local-minimum barrier
     return {StepKind::kFixed, static_cast<std::uint64_t>(k_)};
   }

@@ -13,6 +13,32 @@ bool SteppedProcess::step_done(std::uint64_t) const { return true; }
 
 bool SteppedProcess::observed_end(std::uint64_t) const { return false; }
 
+void SteppedProcess::skip_slots(std::uint64_t, std::uint64_t) {
+  MMN_ASSERT(false, "skip_slots without a narrowed wake_on_slots");
+}
+
+void SteppedProcess::declare_wake(sim::NodeContext& ctx) const {
+  switch (spec_.kind) {
+    case StepKind::kBarrier:
+      // No busy tone: step_done() holds and nothing was sent.
+      if (!ctx.wrote_channel()) ctx.sleep(sim::kWakeOnIdle);
+      break;
+    case StepKind::kFixed:
+      // The step ends in the round whose entry sees rounds_in_step_ reach
+      // fixed_rounds: fixed_rounds - rounds_in_step_ rounds after the next.
+      if (spec_.reactive) {
+        const std::uint64_t left = spec_.fixed_rounds > rounds_in_step_
+                                       ? spec_.fixed_rounds - rounds_in_step_
+                                       : 0;
+        ctx.sleep(0, ctx.round() + 1 + left);
+      }
+      break;
+    case StepKind::kObserved:
+      if (observed_wake_ != sim::kWakeEveryRound) ctx.sleep(observed_wake_);
+      break;
+  }
+}
+
 void SteppedProcess::round(sim::NodeContext& ctx) {
   if (finished_) return;
 
@@ -30,8 +56,16 @@ void SteppedProcess::round(sim::NodeContext& ctx) {
       return;
     }
     spec_ = step_spec(0);
+    observed_wake_ = sim::kWakeEveryRound;
     step_begin(0, ctx);
   } else {
+    // Catch up on the rounds slept through since the last run.  By the wake
+    // contract each was a message-free round of this same step in which the
+    // hooks had nothing to do — except what skip_slots replays.
+    if (const std::uint64_t slept = ctx.slept(); slept != 0) {
+      rounds_in_step_ += slept;
+      if (spec_.kind == StepKind::kObserved) skip_slots(step_, slept);
+    }
     if (slot_owner_ != kNoStep) on_slot(slot_owner_, ctx.slot(), ctx);
 
     bool advance = false;
@@ -57,6 +91,7 @@ void SteppedProcess::round(sim::NodeContext& ctx) {
         return;
       }
       spec_ = step_spec(step_);
+      observed_wake_ = sim::kWakeEveryRound;
       step_begin(step_, ctx);
     }
   }
@@ -76,6 +111,7 @@ void SteppedProcess::round(sim::NodeContext& ctx) {
 
   slot_owner_ = step_;
   ++rounds_in_step_;
+  declare_wake(ctx);
 }
 
 }  // namespace mmn

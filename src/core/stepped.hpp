@@ -24,6 +24,22 @@
 // Subclasses receive step-scoped callbacks and never touch the barrier
 // machinery.  Because transitions depend only on globally shared signals,
 // every node is always in the same step.
+//
+// Activity-driven stepping (sim/wake.hpp): between the events that move a
+// step forward a node only listens, so the framework declares sleeps for it:
+//   kBarrier  — once step_done() holds and the node sent nothing (no busy
+//               tone), it sleeps until a message or an idle slot;
+//   kFixed    — with StepSpec::reactive, it sleeps until a message or the
+//               round that ends the step;
+//   kObserved — after the subclass calls wake_on_slots(), it sleeps until a
+//               message or one of the named slot outcomes, and skip_slots()
+//               replays the others.
+// Waking, it adds the slept rounds to rounds_in_step().  The contract that
+// makes this exact: in a round that delivers no message and that the node
+// slept through, the hooks would have done nothing (barrier: step_round and
+// on_slot are no-ops while step_done() holds; reactive kFixed: likewise for
+// the whole step; kObserved: skip_slots() does what on_slot/step_round
+// would have).
 #pragma once
 
 #include <cstdint>
@@ -40,6 +56,11 @@ enum class StepKind : std::uint8_t { kBarrier, kFixed, kObserved };
 struct StepSpec {
   StepKind kind = StepKind::kBarrier;
   std::uint64_t fixed_rounds = 0;  ///< used by kFixed only
+  /// kFixed only: the step acts on messages alone — step_round and on_slot
+  /// are no-ops in a round whose inbox is empty — so a node sleeps through
+  /// its silent rounds until the round that ends the step.  Leave false for
+  /// a schedule that writes or reads the channel by round (TDMA).
+  bool reactive = false;
 };
 
 class SteppedProcess : public sim::Process {
@@ -93,13 +114,28 @@ class SteppedProcess : public sim::Process {
   /// on_slot; must evaluate identically at every node.
   virtual bool observed_end(std::uint64_t step) const;
 
+  /// kObserved: replays `slots` slept-through slots of the step, each with an
+  /// outcome outside the wake_on_slots() set, in place of the on_slot and
+  /// step_round calls they would have had.
+  virtual void skip_slots(std::uint64_t step, std::uint64_t slots);
+
+  /// kObserved: from now until the step ends, this node needs to run only on
+  /// messages and on slots whose outcome is in `on` (sim::WakeOn bits); it
+  /// sleeps through the others and skip_slots() replays them.  Without a
+  /// call an observed step runs every round.
+  void wake_on_slots(std::uint8_t on) { observed_wake_ = on; }
+
  private:
   static constexpr std::uint64_t kNoStep = static_cast<std::uint64_t>(-1);
+
+  /// Declares when this node next needs to run (see the file comment).
+  void declare_wake(sim::NodeContext& ctx) const;
 
   std::uint64_t step_ = 0;
   std::uint64_t rounds_in_step_ = 0;
   std::uint64_t slot_owner_ = kNoStep;  // step that owned the previous slot
   StepSpec spec_{};                     // spec of step_, cached at entry
+  std::uint8_t observed_wake_ = sim::kWakeEveryRound;  // wake_on_slots()
   bool started_ = false;
   bool finished_ = false;
 };

@@ -142,8 +142,8 @@ void CapetanakisDiscipline::stifle(NodeId v) {
 // ---- pseudo-Bayesian stabilized Aloha --------------------------------------
 
 void PseudoBayesianDiscipline::stifle(NodeId v) {
-  if (v < pending_.size() && pending_[v].has_value()) {
-    pending_[v].reset();
+  if (v < n_ && pending_set_.test(v)) {
+    pending_set_.reset(v);
     --backlog_;
   }
 }
@@ -153,25 +153,30 @@ void PseudoBayesianDiscipline::reset(NodeId n) {
   n_ = n;
   nu_ = 1.0;
   backlog_ = 0;
-  pending_.assign(n, std::nullopt);
+  pending_.assign(n, Packet{});
+  pending_set_.assign(n);
 }
 
 SlotObservation PseudoBayesianDiscipline::slot(
     std::span<const ChannelWrite> writes, Channel& channel, Metrics& metrics) {
   for (const ChannelWrite& w : writes) {
     MMN_REQUIRE(w.node < n_, "writer id out of range");
-    if (!pending_[w.node]) ++backlog_;
+    if (!pending_set_.test(w.node)) {
+      pending_set_.set(w.node);
+      ++backlog_;
+    }
     pending_[w.node] = w.packet;  // re-write replaces (head-of-line re-key)
   }
   // Each pending station transmits with probability min(1, 1/nu).  Ascending
   // node order, one draw per pending station: the draw sequence is a pure
-  // function of the committed write sequence and past outcomes.
+  // function of the committed write sequence and past outcomes.  The walk
+  // visits only the pending stations' bits, not all n stations.
   const double p = nu_ <= 1.0 ? 1.0 : 1.0 / nu_;
-  for (NodeId v = 0; v < n_; ++v) {
-    if (pending_[v] && rng_.next_bernoulli(p)) {
-      channel.write(v, *pending_[v]);
+  pending_set_.for_each([&](std::size_t v) {
+    if (rng_.next_bernoulli(p)) {
+      channel.write(static_cast<NodeId>(v), pending_[v]);
     }
-  }
+  });
   const SlotObservation obs = channel.resolve(metrics);
   // Rivest's update, identical to channel/pseudo_bayesian.cpp: a collision
   // reveals >= 2 backlogged stations, an idle or success slot drains one
@@ -182,7 +187,7 @@ SlotObservation PseudoBayesianDiscipline::slot(
     nu_ = std::max(1.0, nu_ - 1.0);
   }
   if (obs.success()) {
-    pending_[obs.writer].reset();
+    pending_set_.reset(obs.writer);
     --backlog_;
   }
   return obs;
@@ -200,7 +205,8 @@ void ReservationDiscipline::reset(NodeId n) {
   pending_.assign(n, Packet{});
   nu_ = 1.0;
   data_backlog_ = 0;
-  data_pending_.assign(n, std::nullopt);
+  data_pending_.assign(n, Packet{});
+  data_set_.assign(n);
 }
 
 SlotObservation ReservationDiscipline::slot(std::span<const ChannelWrite> writes,
@@ -223,7 +229,10 @@ SlotObservation ReservationDiscipline::slot(std::span<const ChannelWrite> writes
       queue_[(queue_head_ + queue_size_) % queue_.size()] = w.node;
       ++queue_size_;
     } else {
-      if (!data_pending_[w.node]) ++data_backlog_;
+      if (!data_set_.test(w.node)) {
+        data_set_.set(w.node);
+        ++data_backlog_;
+      }
       data_pending_[w.node] = w.packet;
     }
   }
@@ -241,11 +250,11 @@ SlotObservation ReservationDiscipline::slot(std::span<const ChannelWrite> writes
     return channel.resolve(metrics);
   }
   const double p = nu_ <= 1.0 ? 1.0 : 1.0 / nu_;
-  for (NodeId v = 0; v < n_; ++v) {
-    if (data_pending_[v] && rng_.next_bernoulli(p)) {
-      channel.write(v, *data_pending_[v]);
+  data_set_.for_each([&](std::size_t v) {
+    if (rng_.next_bernoulli(p)) {
+      channel.write(static_cast<NodeId>(v), data_pending_[v]);
     }
-  }
+  });
   const SlotObservation obs = channel.resolve(metrics);
   if (obs.collision()) {
     nu_ += 1.0 / (std::exp(1.0) - 2.0);
@@ -253,7 +262,7 @@ SlotObservation ReservationDiscipline::slot(std::span<const ChannelWrite> writes
     nu_ = std::max(1.0, nu_ - 1.0);
   }
   if (obs.success()) {
-    data_pending_[obs.writer].reset();
+    data_set_.reset(obs.writer);
     --data_backlog_;
   }
   return obs;
@@ -275,8 +284,8 @@ void ReservationDiscipline::stifle(NodeId v) {
     queue_size_ = kept;
     queued_[v] = 0;
   }
-  if (data_pending_[v].has_value()) {
-    data_pending_[v].reset();
+  if (data_set_.test(v)) {
+    data_set_.reset(v);
     --data_backlog_;
   }
 }

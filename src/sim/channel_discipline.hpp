@@ -39,6 +39,7 @@
 #include "graph/graph.hpp"
 #include "sim/channel.hpp"
 #include "sim/unslotted.hpp"
+#include "support/bitset.hpp"
 #include "support/metrics.hpp"
 #include "support/rng.hpp"
 
@@ -214,7 +215,8 @@ class PseudoBayesianDiscipline final : public ChannelDiscipline {
   NodeId n_ = 0;
   double nu_ = 1.0;
   std::size_t backlog_ = 0;
-  std::vector<std::optional<Packet>> pending_;  // per node, replace semantics
+  std::vector<Packet> pending_;  // per node, replace semantics
+  NodeBitset pending_set_;       // stations whose pending_ slot is live
 };
 
 /// The PAPERS.md multimedia MAC: reservation minislots for the
@@ -254,7 +256,8 @@ class ReservationDiscipline final : public ChannelDiscipline {
   std::vector<Packet> pending_; // per queued node, replace semantics
   double nu_ = 1.0;             // data lane's shared backlog estimate
   std::size_t data_backlog_ = 0;
-  std::vector<std::optional<Packet>> data_pending_;  // replace semantics
+  std::vector<Packet> data_pending_;  // per node, replace semantics
+  NodeBitset data_set_;               // stations whose data_pending_ is live
 };
 
 }  // namespace mmn::sim

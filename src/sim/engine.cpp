@@ -16,6 +16,7 @@ Engine::Engine(const Graph& g, const ProcessFactory& factory,
                std::unique_ptr<ChannelDiscipline> discipline)
     : core_(g, seed, std::move(scheduler), std::move(discipline)) {
   const NodeId n = core_.num_nodes();
+  core_.wake().reset(n);
   processes_.reserve(n);
   finished_flag_.reserve(n);
   // Views are fully built by the core before any factory call: a process may
@@ -47,19 +48,25 @@ const Process& Engine::process(NodeId v) const {
 /// visible effect into the shard's buffer — the core commits shards in
 /// ascending order, so the trace is scheduler-independent.
 void Engine::node_round(unsigned shard, NodeId v) {
+  WakeTable& wake = core_.wake();
   const EpochOverlay* overlay = nullptr;
   if (faults_ != nullptr) [[unlikely]] {
     overlay = &faults_->overlay();
     if (!overlay->node_alive(v)) {
       // A crashed node does not step; whatever was delivered to it this
-      // round is lost-and-counted, not processed.
+      // round is lost-and-counted, not processed.  Crashed is not asleep:
+      // the round is not added to what the node catches up on later.
       core_.shard(shard).fault_drops += core_.inbox(v).size();
+      wake.enter_crashed(v);
       return;
     }
   }
   NodeContext ctx(core_.view(v), core_.rng(v), core_.inbox(v), core_.slot(),
-                  core_.round(), core_.shard(shard), overlay);
+                  core_.round(), core_.shard(shard), overlay,
+                  wake.enter(v, core_.round()));
   processes_[v]->round(ctx);
+  wake.declare(v, ctx.wake());
+  if (ctx.wake().on != kWakeEveryRound) ++core_.shard(shard).sleepers;
   const char done = processes_[v]->finished() ? 1 : 0;
   if (done != finished_flag_[v]) {
     finished_flag_[v] = done;
@@ -72,6 +79,11 @@ void Engine::run_one_round() {
   // one thread — every node of the round sees the same topology.
   if (faults_ != nullptr) [[unlikely]] {
     faults_->apply_slot(core_.round(), core_.discipline());
+    // A crashed node is visited every round while down (its inbox drops
+    // are counted there), whatever it declared before the crash.
+    for (const FaultEvent& e : faults_->last_applied()) {
+      if (e.kind == FaultKind::kNodeCrash) core_.wake().force_awake(e.id);
+    }
   }
   core_.run_round(Scheduler::NodeFn{
       [](void* env, unsigned s, NodeId v) {

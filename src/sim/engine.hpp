@@ -20,6 +20,10 @@
 // on a transition, and the engine sums the handful of shard counters after
 // the barrier — no per-node delta staging, no O(n) scan.
 //
+// Rounds are activity-driven (sim/wake.hpp): the scheduler runs only the
+// nodes that are awake — woken by a message, by a slot outcome they asked
+// for, by a due round, or never asleep because they declared nothing.
+//
 // The per-node hot path is devirtualized end to end: the scheduler reaches
 // node_round through a raw function pointer, and NodeContext is a concrete
 // final class (sim/runtime_core.hpp) staging effects straight into the
@@ -87,6 +91,10 @@ class Engine {
   FaultRuntime* faults() { return faults_.get(); }
 
   const Metrics& metrics() const { return core_.metrics(); }
+
+  /// Node-steps dispatched so far (RuntimeCore::node_steps): n per round
+  /// for processes that never sleep, far fewer for ported stepped ones.
+  std::uint64_t node_steps() const { return core_.node_steps(); }
 
   /// Per-class delay/backlog accounting of open-loop workloads
   /// (sim/traffic.hpp); untouched by closed-loop protocols.

@@ -190,6 +190,7 @@ FaultRuntime::FaultRuntime(const Graph& g, const FaultPlan& plan)
 
 void FaultRuntime::apply_slot(std::uint64_t slot,
                               ChannelDiscipline& discipline) {
+  last_begin_ = cursor_;
   while (cursor_ < events_.size() && events_[cursor_].slot <= slot) {
     const FaultEvent& e = events_[cursor_++];
     switch (e.kind) {

@@ -127,6 +127,12 @@ class FaultRuntime {
   /// instead of transmitting from beyond the grave.
   void apply_slot(std::uint64_t slot, ChannelDiscipline& discipline);
 
+  /// The events the last apply_slot() call walked over (applied, or
+  /// skipped as no-ops), in plan order.
+  std::span<const FaultEvent> last_applied() const {
+    return {events_.data() + last_begin_, cursor_ - last_begin_};
+  }
+
   EpochOverlay& overlay() { return overlay_; }
   const EpochOverlay& overlay() const { return overlay_; }
   FaultStats& stats() { return stats_; }
@@ -137,6 +143,7 @@ class FaultRuntime {
   FaultStats stats_;
   std::vector<FaultEvent> events_;  ///< stable-sorted by slot
   std::size_t cursor_ = 0;
+  std::size_t last_begin_ = 0;  ///< first event of the last apply_slot()
 };
 
 }  // namespace mmn::sim

@@ -36,12 +36,29 @@ void MessageArena::reset(NodeId n, unsigned shards) {
   bytes_moved_ = 0;
   buf_.clear();
   next_buf_.clear();
-  offsets_.assign(n_ + 1, 0);
-  next_offsets_.assign(n_ + 1, 0);
+  spans_.assign(n_, InboxSpan{});
+  next_spans_.assign(n_, InboxSpan{});
+  // A sparse flip sets fewer than n/8 spans; a dense one keeps no list.
+  set_.clear();
+  next_set_.clear();
+  set_.reserve(n_ / 8 + 1);
+  next_set_.reserve(n_ / 8 + 1);
+  dense_ = false;
+  next_dense_ = false;
   cursor_.assign(n_, 0);
   scratch_.clear();
   pools_.assign(shards, {});
   next_pools_.assign(shards, {});
+}
+
+void MessageArena::clear_next_spans() {
+  if (next_dense_) {
+    std::fill(next_spans_.begin(), next_spans_.end(), InboxSpan{});
+  } else {
+    for (const NodeId v : next_set_) next_spans_[v] = InboxSpan{};
+  }
+  next_set_.clear();
+  next_dense_ = false;
 }
 
 void MessageArena::flip(std::vector<ShardBuffer>& shards) {
@@ -53,15 +70,15 @@ void MessageArena::flip(std::vector<ShardBuffer>& shards) {
     total += sb.outbox.size();
     payload_bytes += sb.pool_bytes;
   }
-  // Message-free rounds (channel-only stages, barrier quiescence) skip the
-  // O(n) offset work entirely: after one empty flip both offset buffers are
-  // all-zero and both delivery buffers empty, so a second consecutive empty
-  // flip is a no-op — every inbox span is already empty, and the shard
-  // pools hold nothing live to recycle (payloads only enter through sends,
-  // and every send files a header).
+  // Message-free rounds (channel-only stages, barrier quiescence): after one
+  // empty flip every current span is empty and the current delivery buffer
+  // too, so a second consecutive empty flip is a no-op — the shard pools
+  // hold nothing live to recycle (payloads only enter through sends, and
+  // every send files a header).  The recycled buffer's stale spans are
+  // cleared lazily by the next flip that fills it.
   if (total == 0) {
     if (empty_) return;
-    std::fill(next_offsets_.begin(), next_offsets_.end(), 0);
+    clear_next_spans();
     next_buf_.clear();
     for (unsigned s = 0; s < shards.size(); ++s) {
       shards[s].pool.swap(next_pools_[s]);
@@ -69,7 +86,9 @@ void MessageArena::flip(std::vector<ShardBuffer>& shards) {
       shards[s].pool_bytes = 0;
     }
     buf_.swap(next_buf_);
-    offsets_.swap(next_offsets_);
+    spans_.swap(next_spans_);
+    set_.swap(next_set_);
+    std::swap(dense_, next_dense_);
     pools_.swap(next_pools_);
     empty_ = true;
     return;
@@ -91,9 +110,11 @@ void MessageArena::flip(std::vector<ShardBuffer>& shards) {
     // pays three O(n) passes over the counters no matter how few headers
     // there are; here we sort the headers themselves — by destination with
     // the serial send position as tie-break, i.e. exactly the counting
-    // sort's stable order — and write the monotone offset table in one
-    // pass.  Delivery records are resolved pre-sort because headers from
-    // different shards point into different pools.
+    // sort's stable order — and write only the destinations' spans, after
+    // clearing the ones the recycled buffer had set.  Delivery records are
+    // resolved pre-sort because headers from different shards point into
+    // different pools.
+    clear_next_spans();
     scratch_.clear();
     std::uint32_t rank = 0;
     for (ShardBuffer& sb : shards) {
@@ -110,14 +131,17 @@ void MessageArena::flip(std::vector<ShardBuffer>& shards) {
                 if (a.to != b.to) return a.to < b.to;
                 return a.rank < b.rank;
               });
-    NodeId next_node = 0;
-    for (std::uint32_t i = 0; i < total; ++i) {
-      const NodeId to = scratch_[i].to;
-      while (next_node <= to) next_offsets_[next_node++] = i;
-      next_buf_[i] = scratch_[i].r;
-    }
     const auto total32 = static_cast<std::uint32_t>(total);
-    while (next_node <= n_) next_offsets_[next_node++] = total32;
+    for (std::uint32_t i = 0; i < total32;) {
+      const NodeId to = scratch_[i].to;
+      std::uint32_t j = i;
+      for (; j < total32 && scratch_[j].to == to; ++j) {
+        next_buf_[j] = scratch_[j].r;
+      }
+      next_spans_[to] = InboxSpan{i, j - i};
+      next_set_.push_back(to);
+      i = j;
+    }
   } else {
     // Dense round: histogram destinations over all shards, turn counts into
     // scatter offsets with an exclusive prefix sum (both through the
@@ -135,9 +159,13 @@ void MessageArena::flip(std::vector<ShardBuffer>& shards) {
     [[maybe_unused]] const std::uint32_t counted =
         simd::exclusive_prefix_sum_u32(cursor_.data(), n_);
     MMN_DCHECK(counted == total, "histogram lost headers");
-    std::memcpy(next_offsets_.data(), cursor_.data(),
-                n_ * sizeof(std::uint32_t));
-    next_offsets_[n_] = static_cast<std::uint32_t>(total);
+    for (NodeId v = 0; v + 1 < n_; ++v) {
+      next_spans_[v] = InboxSpan{cursor_[v], cursor_[v + 1] - cursor_[v]};
+    }
+    next_spans_[n_ - 1] = InboxSpan{
+        cursor_[n_ - 1], static_cast<std::uint32_t>(total) - cursor_[n_ - 1]};
+    next_set_.clear();
+    next_dense_ = true;
     for (ShardBuffer& sb : shards) {
       const Packet* pool = sb.pool.data();
       for (const MsgHeader& h : sb.outbox) {
@@ -162,7 +190,9 @@ void MessageArena::flip(std::vector<ShardBuffer>& shards) {
     sb.pool_bytes = 0;
   }
   buf_.swap(next_buf_);
-  offsets_.swap(next_offsets_);
+  spans_.swap(next_spans_);
+  set_.swap(next_set_);
+  std::swap(dense_, next_dense_);
   pools_.swap(next_pools_);
 }
 
@@ -295,7 +325,39 @@ SlotObservation RuntimeCore::resolve_slot() {
 }
 
 void RuntimeCore::run_round(Scheduler::NodeFn fn) {
-  scheduler_->for_each_node(num_nodes(), fn);
+  if (wake_.all_awake()) {
+    // Nobody sleeps: every node runs, dispatched by id.
+    wake_.gather_all(round_);
+    node_steps_ += num_nodes();
+    scheduler_->for_each_node(num_nodes(), fn);
+  } else {
+    // Dispatch index i of the awake list to node awake[i].  Schedulers cut
+    // [0, awake.size()) into contiguous ascending chunks, and the list
+    // ascends, so shard s still runs a contiguous ascending run of node ids
+    // below shard s + 1's and the shard-major merges below keep ascending
+    // node order — the same argument as for dense stepping.
+    const std::span<const NodeId> awake = wake_.gather(round_, slot_.state);
+    node_steps_ += awake.size();
+    struct Dispatch {
+      const NodeId* ids;
+      Scheduler::NodeFn fn;
+    } dispatch{awake.data(), fn};
+    scheduler_->for_each_node(
+        static_cast<NodeId>(awake.size()),
+        Scheduler::NodeFn{[](void* env, unsigned s, NodeId i) {
+                            const auto* d = static_cast<const Dispatch*>(env);
+                            d->fn(s, d->ids[i]);
+                          },
+                          &dispatch});
+  }
+  bool any_slept = false;
+  for (ShardBuffer& sb : shards_) {
+    any_slept = any_slept || sb.sleepers != 0;
+    sb.sleepers = 0;
+  }
+  wake_.commit(round_, any_slept);
+  // Message wakes matter only if some node sleeps into the next round.
+  const bool mark_messages = !wake_.all_awake();
   for (ShardBuffer& sb : shards_) {
     for (ChannelWrite& w : sb.channel_writes) {
       slot_writes_.push_back(std::move(w));
@@ -306,6 +368,9 @@ void RuntimeCore::run_round(Scheduler::NodeFn fn) {
     if (faults_ != nullptr) {
       faults_->stats().drops += sb.fault_drops;
       sb.fault_drops = 0;
+    }
+    if (mark_messages) {
+      for (const MsgHeader& h : sb.outbox) wake_.mark_message(h.to);
     }
   }
   slot_ = resolve_slot();

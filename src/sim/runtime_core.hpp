@@ -40,6 +40,7 @@
 #include "sim/message.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/traffic.hpp"
+#include "sim/wake.hpp"
 #include "support/check.hpp"
 #include "support/metrics.hpp"
 #include "support/rng.hpp"
@@ -145,6 +146,9 @@ struct alignas(64) ShardBuffer {
   std::uint64_t pool_bytes = 0;   ///< live payload bytes staged this round
   std::vector<ChannelWrite> channel_writes;
   std::uint64_t p2p_sent = 0;
+  /// Nodes of this shard that declared a sleep this round (sim/wake.hpp);
+  /// while none does, a round with every node awake skips the wake fold.
+  std::uint32_t sleepers = 0;
   /// Sends this shard's nodes aimed at a dead link or dead endpoint this
   /// round (sim/fault.hpp), plus inboxes of crashed nodes the engine
   /// skipped.  Merged shard-major into FaultStats::drops — a pure sum, so
@@ -180,6 +184,7 @@ struct alignas(64) ShardBuffer {
     pool_bytes = 0;
     channel_writes.clear();
     p2p_sent = 0;
+    sleepers = 0;
     fault_drops = 0;
   }
 };
@@ -200,12 +205,14 @@ struct alignas(64) ShardOutstanding {
 std::vector<ShardOutstanding> initial_outstanding(
     const std::vector<char>& flags, unsigned shards);
 
-/// True when no shard has unfinished nodes left.
+/// True when no shard has unfinished nodes left.  Summed, not tested per
+/// shard: the synchronous engine dispatches only awake nodes, so a node's
+/// finished-transition is counted by whichever shard ran it that round and
+/// a single shard's count may go negative.
 inline bool none_outstanding(const std::vector<ShardOutstanding>& counts) {
-  for (const ShardOutstanding& s : counts) {
-    if (s.count != 0) return false;
-  }
-  return true;
+  std::int64_t total = 0;
+  for (const ShardOutstanding& s : counts) total += s.count;
+  return total == 0;
 }
 
 /// Per-round API handed to a Process.  All sends happen "this round" and are
@@ -231,17 +238,20 @@ class NodeContext final {
   /// Engine staging path: effects go to `shard`, merged after the barrier.
   /// `faults` is the run's epoch overlay when fault injection is installed
   /// (read-only during the round — events apply at slot boundaries), null on
-  /// the fault-free fast path.
+  /// the fault-free fast path.  `slept` is the number of rounds the node
+  /// slept through since it last ran (sim/wake.hpp).
   NodeContext(const LocalView& view, Rng& rng, std::span<const Received> inbox,
               const SlotObservation& slot, std::uint64_t round,
-              ShardBuffer& shard, const EpochOverlay* faults = nullptr)
+              ShardBuffer& shard, const EpochOverlay* faults = nullptr,
+              std::uint64_t slept = 0)
       : view_(&view),
         rng_(&rng),
         slot_(&slot),
         shard_(&shard),
         faults_(faults),
         inbox_(inbox),
-        round_(round) {}
+        round_(round),
+        slept_(slept) {}
 
   /// Sink path: effects go through `sink` (synchronizer shim).
   NodeContext(const LocalView& view, Rng& rng, std::span<const Received> inbox,
@@ -266,6 +276,27 @@ class NodeContext final {
 
   /// The outcome of the previous round's channel slot.
   const SlotObservation& slot() const { return *slot_; }
+
+  /// Rounds this node slept through since it last ran: 0 unless its last
+  /// round declared a sleep.  A process that sleeps catches up on them
+  /// here.  Engines that step every node every round (RankEngine, the
+  /// synchronizer's shim) always pass 0.
+  std::uint64_t slept() const { return slept_; }
+
+  /// Declares when this node next needs to run: on a message (always), on
+  /// a slot whose outcome is in `on` (WakeOn bits), or at round `at_round`,
+  /// whichever comes first (sim/wake.hpp).  Without a call the node runs
+  /// next round; a later call in the same round replaces an earlier one.
+  /// Running the node before its wake condition holds must be a no-op for
+  /// it apart from the slept() catch-up — engines may ignore the
+  /// declaration and step it every round.
+  void sleep(std::uint8_t on, std::uint64_t at_round = WakeDecl::kNoRound) {
+    wake_ = WakeDecl{static_cast<std::uint8_t>(on & ~kWakeEveryRound),
+                     at_round};
+  }
+
+  /// This round's wake declaration (the every-round default if none).
+  const WakeDecl& wake() const { return wake_; }
 
   /// Sends a packet over one of this node's incident links.
   void send(EdgeId edge, const Packet& packet) {
@@ -393,11 +424,14 @@ class NodeContext final {
   Sink sink_{};
   std::span<const Received> inbox_;
   std::uint64_t round_;
+  std::uint64_t slept_ = 0;
+  WakeDecl wake_{};
   bool wrote_channel_ = false;
   bool sent_message_ = false;
 };
 
-/// A node program.  round() is invoked exactly once per simulated round.
+/// A node program.  round() is invoked once per simulated round, except
+/// for rounds the node declared it sleeps through (NodeContext::sleep).
 class Process {
  public:
   virtual ~Process() = default;
@@ -480,13 +514,16 @@ class PacketPool {
 /// copied again; the pools rotate through a two-deep recycle queue and are
 /// handed back to the shards with their capacity intact.
 ///
-/// The counting sort runs on one of three paths, picked per flip:
-///  * empty      — O(1) short-circuit for message-free rounds;
+/// Each node's inbox is a (begin, count) span into the flat buffer; a node
+/// no message reached keeps the empty span.  The counting sort runs on one
+/// of three paths, picked per flip:
+///  * empty      — message-free rounds clear only the spans the recycled
+///                 buffer had set, and two in a row are O(1);
 ///  * sparse     — when the round carries far fewer messages than nodes,
 ///                 the headers are sorted directly (by destination, original
-///                 order as tie-break — i.e. stably) and the offset table is
-///                 written in one monotone pass, skipping the dense
-///                 count/prefix/cursor passes over all n counters;
+///                 order as tie-break — i.e. stably) and only the
+///                 destinations' spans are written: O(m log m) in the
+///                 round's m messages, nothing proportional to n;
 ///  * dense      — histogram + exclusive prefix sum through the
 ///                 support/simd.hpp kernels (AVX2 when the host has it,
 ///                 scalar reference otherwise), then a stable scalar
@@ -498,7 +535,7 @@ class MessageArena {
   void reset(NodeId n, unsigned shards);
 
   std::span<const Received> inbox(NodeId v) const {
-    return {buf_.data() + offsets_[v], offsets_[v + 1] - offsets_[v]};
+    return {buf_.data() + spans_[v].begin, spans_[v].count};
   }
 
   /// Counting-sorts the staged headers of all shards (ascending shard order,
@@ -522,13 +559,28 @@ class MessageArena {
     Received r;
   };
 
+  struct InboxSpan {
+    std::uint32_t begin = 0;
+    std::uint32_t count = 0;
+  };
+
+  /// Resets next_spans_ to all-empty: O(spans set) after a sparse flip,
+  /// O(n) only after a dense one (which paid O(n) itself).
+  void clear_next_spans();
+
   NodeId n_ = 0;
-  bool empty_ = true;  // both delivery buffers empty, both offset sets zero
+  bool empty_ = true;  // both delivery buffers empty, all spans empty
   std::uint64_t bytes_moved_ = 0;
   std::vector<Received> buf_;       // delivered this round
   std::vector<Received> next_buf_;  // being filled for next round
-  std::vector<std::uint32_t> offsets_;       // n_ + 1 spans into buf_
-  std::vector<std::uint32_t> next_offsets_;  // n_ + 1 spans into next_buf_
+  std::vector<InboxSpan> spans_;       // per node, into buf_
+  std::vector<InboxSpan> next_spans_;  // per node, into next_buf_
+  /// Nodes whose span in spans_ / next_spans_ is non-empty, unless the
+  /// matching *_dense_ flag says a dense flip may have set any of them.
+  std::vector<NodeId> set_;
+  std::vector<NodeId> next_set_;
+  bool dense_ = false;
+  bool next_dense_ = false;
   std::vector<std::uint32_t> cursor_;        // scatter cursors, n_
   std::vector<SparseEntry> scratch_;         // sparse-path sort buffer
   std::vector<std::vector<Packet>> pools_;   // per shard, backing buf_
@@ -661,12 +713,25 @@ class RuntimeCore {
   void set_fault_runtime(FaultRuntime* faults) { faults_ = faults; }
   FaultRuntime* fault_runtime() { return faults_; }
 
-  /// One lockstep round: runs `fn` over every node under the scheduler, then
-  /// commits deterministically — channel writes and p2p sends merged in
-  /// ascending shard order, slot resolved, arena flipped, round advanced.
-  /// (Termination tracking lives with the engines' per-shard outstanding
-  /// counters; the core commits only message/channel effects.)
+  /// One lockstep round: gathers the round's awake nodes (sim/wake.hpp) and
+  /// runs `fn` over them under the scheduler, in ascending node order, then
+  /// commits deterministically — wake declarations folded, channel writes
+  /// and p2p sends merged in ascending shard order, slot resolved, arena
+  /// flipped, round advanced.  `fn` must enter() each node it is handed and
+  /// declare() its wake condition.  (Termination tracking lives with the
+  /// engines' per-shard outstanding counters; the core commits only
+  /// message/channel effects.)
   void run_round(Scheduler::NodeFn fn);
+
+  /// Per-node wake state of the activity-driven stepper.  Sized by the
+  /// synchronous Engine (wake().reset(n)) before its first run_round; the
+  /// asynchronous policy never dispatches through it and leaves it empty.
+  WakeTable& wake() { return wake_; }
+
+  /// Node-steps dispatched so far: the awake-list lengths, summed once per
+  /// round.  Deterministic (a function of the run, not the scheduler) and
+  /// kept out of Metrics.
+  std::uint64_t node_steps() const { return node_steps_; }
 
   /// Resolves the current slot through the channel discipline: the staged
   /// writes (ascending commit order = ascending node order within the slot)
@@ -711,8 +776,10 @@ class RuntimeCore {
   std::vector<ChannelWrite> slot_writes_;  // staged for the current slot
   SlotObservation slot_;  // outcome of the previous round's slot
   Metrics metrics_;
+  WakeTable wake_;
   FaultRuntime* faults_ = nullptr;  ///< engine-owned; drops merge here
   std::uint64_t round_ = 0;
+  std::uint64_t node_steps_ = 0;
 };
 
 }  // namespace mmn::sim

@@ -144,6 +144,31 @@ TEST(RankRun, FaultChurnMatchesSerial) {
   expect_sharded_matches_serial("fault/load/churn/ring", 64, 7, 3);
 }
 
+// Dense oracle for activity-driven stepping: RankEngine still steps every
+// owned node every round and ignores wake declarations, so for every
+// synchronous scenario a sharded run is a dense reference for the sleeping
+// Engine — serial and 4-thread runs must match it in digest, Metrics and
+// FaultStats at the scenario's smallest sweep size.
+TEST(RankRun, SleepingEngineMatchesDenseRanksForEveryScenario) {
+  scenario::register_builtin();
+  int checked = 0;
+  for (const scenario::Scenario& s : Registry::instance().all()) {
+    if (s.fault_recovery && s.default_faults > 0) continue;  // not shardable
+    const NodeId n = s.sweep_n.front();
+    const RunResult dense = run_sharded(s, n, s.default_seed, 2);
+    for (unsigned threads : {1u, 4u}) {
+      const RunResult r = run(s, n, s.default_seed,
+                              sim::make_scheduler(threads));
+      EXPECT_EQ(r.digest, dense.digest) << s.name << " t" << threads;
+      EXPECT_TRUE(r.metrics == dense.metrics) << s.name << " t" << threads;
+      EXPECT_TRUE(r.faults == dense.faults) << s.name << " t" << threads;
+      EXPECT_EQ(r.completed, dense.completed) << s.name << " t" << threads;
+    }
+    ++checked;
+  }
+  EXPECT_GT(checked, 20);
+}
+
 TEST(RankRun, CrossShardTrafficIsCounted) {
   scenario::register_builtin();
   const scenario::Scenario* s = Registry::instance().find("global/min/rand/ring");

@@ -66,6 +66,53 @@ TEST(Stepped, BarrierStepsAlignAcrossNodes) {
   EXPECT_GE(p0.begin_rounds_[1] - p0.begin_rounds_[0], 5u);
 }
 
+/// Two barrier steps; in step 0 node 2 stays locally busy (step_done false)
+/// for 7 rounds without sending anything, while every other node is idle
+/// from the start and sleeps until the closing idle slot.
+class BusyBarrierProcess final : public SteppedProcess {
+ public:
+  explicit BusyBarrierProcess(const sim::LocalView& view) : view_(view) {}
+
+  std::uint64_t second_step_round_ = 0;
+
+ protected:
+  std::uint64_t num_steps() const override { return 2; }
+  StepSpec step_spec(std::uint64_t) const override { return {}; }
+  void step_begin(std::uint64_t step, sim::NodeContext& ctx) override {
+    if (step == 1) second_step_round_ = ctx.round();
+  }
+  void on_message(std::uint64_t, const sim::Received&,
+                  sim::NodeContext&) override {}
+  void step_round(std::uint64_t step, sim::NodeContext&) override {
+    if (step == 0 && view_.self == 2) ++busy_rounds_;
+  }
+  bool step_done(std::uint64_t step) const override {
+    return step != 0 || view_.self != 2 || busy_rounds_ >= 7;
+  }
+
+ private:
+  const sim::LocalView& view_;
+  std::uint64_t busy_rounds_ = 0;
+};
+
+TEST(Stepped, LocallyBusyNodeHoldsTheBarrierWhileOthersSleep) {
+  const Graph g = path(4, 1);
+  sim::Engine engine(g, [](const sim::LocalView& v) {
+    return std::make_unique<BusyBarrierProcess>(v);
+  }, 3);
+  engine.run(100);
+  // Node 2 writes busy tones in rounds 0-5; the slot of round 6 is the first
+  // idle one, so step 1 begins in round 7 everywhere.
+  for (NodeId v = 0; v < 4; ++v) {
+    EXPECT_EQ(static_cast<const BusyBarrierProcess&>(engine.process(v))
+                  .second_step_round_,
+              7u)
+        << v;
+  }
+  // The idle nodes slept through rounds 1-6.
+  EXPECT_LT(engine.node_steps(), 4 * engine.metrics().rounds);
+}
+
 /// One fixed step (channel TDMA of n slots), then one barrier step.
 class FixedStepProcess final : public SteppedProcess {
  public:
