@@ -1,5 +1,5 @@
 // E15 — Sharded execution bench (google-benchmark): cross-rank message
-// batching throughput of the rank driver (sim/rank.hpp, sim/shard_comm.hpp,
+// batching throughput of the rank driver (sim/engine.hpp, sim/shard_comm.hpp,
 // scenario/rank_run.hpp).
 //
 // Rows shard/<scenario>/<n>/r<K> fork K rank processes per iteration, each

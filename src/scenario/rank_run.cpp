@@ -3,8 +3,8 @@
 #include <cstring>
 
 #include "graph/generators.hpp"
+#include "sim/engine.hpp"
 #include "sim/fault.hpp"
-#include "sim/rank.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/shard_comm.hpp"
 #include "support/check.hpp"
@@ -23,9 +23,10 @@ struct RankTally {
   std::uint64_t xshard_msgs = 0;
   std::uint64_t boundary_edges = 0;
   std::uint64_t wire_bytes = 0;
+  std::uint64_t node_steps = 0;
   std::uint64_t completed = 0;
 };
-static_assert(sizeof(RankTally) == 7 * sizeof(std::uint64_t),
+static_assert(sizeof(RankTally) == 8 * sizeof(std::uint64_t),
               "RankTally is exchanged as raw bytes");
 
 void swap_bytes(sim::shard_comm::Transport& t, unsigned peer, const void* out,
@@ -68,12 +69,14 @@ void run_rank(const Scenario& s, NodeId nominal, std::uint64_t seed,
               "fault-recovery scenarios (two-phase epoch rebuild) do not "
               "run sharded");
 
-  sim::RankEngine eng(
-      g, sim::RankSpec{rank, ranks, lo, hi},
+  // The transport makes this Engine rank `rank`'s shard: it steps the
+  // window [lo, hi) and swaps every round with the peers.
+  sim::Engine eng(
+      g,
       s.make_load_factory ? s.make_load_factory(g, offered)
                           : s.make_factory(g),
-      seed, t,
-      sim::make_discipline(s.discipline, sim::UnslottedConfig{}, seed));
+      seed, std::make_unique<sim::SerialScheduler>(),
+      sim::make_discipline(s.discipline, sim::UnslottedConfig{}, seed), &t);
   if (faulted) eng.install_faults(plan);
   const bool completed = eng.step(s.max_rounds);
 
@@ -103,8 +106,15 @@ void run_rank(const Scenario& s, NodeId nominal, std::uint64_t seed,
   mine.p2p_messages = eng.metrics().p2p_messages;
   mine.fault_drops = faulted ? eng.faults()->stats().drops : 0;
   mine.xshard_msgs = eng.xshard_msgs();
-  mine.boundary_edges = eng.boundary_edges();
+  // Edges with exactly one endpoint in the window: the frontier the
+  // cross-shard traffic rides.
+  for (NodeId v = lo; v < hi; ++v) {
+    for (const Neighbor& nb : g.neighbors(v)) {
+      if (nb.to < lo || nb.to >= hi) ++mine.boundary_edges;
+    }
+  }
   mine.wire_bytes = t.bytes_out();
+  mine.node_steps = eng.node_steps();
   mine.completed = completed ? 1 : 0;
 
   if (rank != 0) {
@@ -126,6 +136,7 @@ void run_rank(const Scenario& s, NodeId nominal, std::uint64_t seed,
     total.xshard_msgs += peer.xshard_msgs;
     total.boundary_edges += peer.boundary_edges;
     total.wire_bytes += peer.wire_bytes;
+    total.node_steps += peer.node_steps;
     if (r == ranks - 1) total.digest = peer.digest;  // chain ends at K-1
   }
 
@@ -151,6 +162,7 @@ void run_rank(const Scenario& s, NodeId nominal, std::uint64_t seed,
     // Every cross-shard edge is counted by both owning windows.
     out_stats->boundary_edges = total.boundary_edges / 2;
     out_stats->wire_bytes = total.wire_bytes;
+    out_stats->node_steps = total.node_steps;
     out_stats->rounds = result.metrics.rounds;
   }
 }

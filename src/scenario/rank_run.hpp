@@ -1,11 +1,12 @@
 // Sharded scenario execution: scenario::run's synchronous branch, spread
-// over rank processes (sim/rank.hpp + sim/shard_comm.hpp).
+// over rank processes (sim/engine.hpp + sim/shard_comm.hpp).
 //
 // run_sharded(s, n, seed, K) is the drop-in sharded counterpart of
 // run(s, n, seed): it forks K ranks, each builds ONLY its node window of
 // the topology (build_topology_window — same generator stream, global edge
 // ids and the full weight permutation, so windowed CSR rows are
-// bit-identical to the full build's), steps a RankEngine to completion, and
+// bit-identical to the full build's), steps a serial-scheduler Engine over
+// that window with the rank transport to completion, and
 // rank 0 assembles the identical RunResult — digest, metrics, and fault
 // stats all bit-equal to the serial run's.  The digest is chained: rank r
 // folds its own window [lo, hi) starting from rank r-1's partial
@@ -21,12 +22,16 @@
 namespace mmn::scenario {
 
 /// Cross-shard traffic accounting of a sharded run, for bench_shard_comm.
-/// Zeroed on the ranks == 1 delegation path (no wire, no frontier).
+/// Zeroed on the ranks == 1 delegation path (no wire, no frontier), except
+/// for `rounds`.
 struct ShardStats {
   std::uint64_t xshard_msgs = 0;     ///< cross-shard headers sent, all ranks
   std::uint64_t boundary_edges = 0;  ///< edges with endpoints in two shards
   std::uint64_t wire_bytes = 0;      ///< transport bytes sent, all ranks
   std::uint64_t rounds = 0;          ///< rounds run (replicated count)
+  /// Node-steps dispatched (Engine::node_steps), summed over ranks — equal
+  /// to the serial Engine's count, since ranks sleep exactly like it.
+  std::uint64_t node_steps = 0;
 };
 
 /// Runs scenario `s` at nominal size n over `ranks` processes and returns

@@ -24,6 +24,13 @@
 // nodes that are awake — woken by a message, by a slot outcome they asked
 // for, by a due round, or never asleep because they declared nothing.
 //
+// The same loop runs sharded over OS processes: built with a K-rank
+// shard_comm::Transport, the engine is rank r's shard of the run — it steps
+// the node window Scheduler::shard_range(n, r, K) and swaps each round's
+// cross-window sends, channel writes and outstanding count with the peers
+// (sim/shard_comm.hpp, ARCHITECTURE.md "Sharded execution").  Every rank
+// reaches the identical termination verdict on the identical round.
+//
 // The per-node hot path is devirtualized end to end: the scheduler reaches
 // node_round through a raw function pointer, and NodeContext is a concrete
 // final class (sim/runtime_core.hpp) staging effects straight into the
@@ -57,9 +64,17 @@ class Engine {
   /// tree scheduling, or the unslotted busy-tone emulation
   /// (sim/channel_discipline.hpp).
   Engine(const Graph& g, const ProcessFactory& factory, std::uint64_t seed);
+  ///
+  /// A transport with K > 1 ranks makes this engine one rank of a sharded
+  /// run: it steps only its window shard_range(n, rank, K), `g` may be a
+  /// windowed build of that window, `factory` sees owned views only, and
+  /// every rank must be built with the identical seed and discipline and
+  /// then driven with the identical install_faults/step calls.  A null or
+  /// single-rank transport is the unsharded engine.
   Engine(const Graph& g, const ProcessFactory& factory, std::uint64_t seed,
          std::unique_ptr<Scheduler> scheduler,
-         std::unique_ptr<ChannelDiscipline> discipline = nullptr);
+         std::unique_ptr<ChannelDiscipline> discipline = nullptr,
+         shard_comm::Transport* transport = nullptr);
   ~Engine();
 
   Engine(const Engine&) = delete;
@@ -73,7 +88,8 @@ class Engine {
   Metrics run(std::uint64_t max_rounds);
 
   /// Runs at most `rounds` additional rounds; returns true if all finished
-  /// and the channel is idle.
+  /// and the channel is idle.  On a sharded run "all" means every rank's
+  /// nodes, and every rank must call with the same budget.
   bool step(std::uint64_t rounds);
 
   /// Outcome of the last run()/step() call (kRunning after a step() that
@@ -90,34 +106,42 @@ class Engine {
   const FaultRuntime* faults() const { return faults_.get(); }
   FaultRuntime* faults() { return faults_.get(); }
 
+  /// On a sharded run the slot and round counters equal the whole run's;
+  /// p2p_messages counts only this rank's sends (sum over ranks).
   const Metrics& metrics() const { return core_.metrics(); }
 
   /// Node-steps dispatched so far (RuntimeCore::node_steps): n per round
   /// for processes that never sleep, far fewer for ported stepped ones.
+  /// This rank's window only on a sharded run.
   std::uint64_t node_steps() const { return core_.node_steps(); }
+
+  /// Messages sent to other ranks' windows (0 unless sharded).
+  std::uint64_t xshard_msgs() const { return core_.xshard_msgs(); }
 
   /// Per-class delay/backlog accounting of open-loop workloads
   /// (sim/traffic.hpp); untouched by closed-loop protocols.
   const LatencyRecorder& latency() const { return core_.latency(); }
 
-  /// Direct access to a node's process (for reading results and tests).
-  /// Mutating a process so that finished() changes outside of round() breaks
-  /// the engine's incrementally maintained finished count — finished() must
-  /// only change inside round() calls.
+  /// Direct access to a node's process by node id — owned nodes only on a
+  /// sharded run (for reading results and tests).  Mutating a process so
+  /// that finished() changes outside of round() breaks the engine's
+  /// incrementally maintained finished count — finished() must only change
+  /// inside round() calls.
   Process& process(NodeId v);
   const Process& process(NodeId v) const;
+  /// Nodes this engine steps: n, or the window's size on a sharded run.
   NodeId num_nodes() const { return core_.num_nodes(); }
 
  private:
   bool all_finished() const;
-  void node_round(unsigned shard, NodeId v);
+  void node_round(unsigned shard, NodeId i);
   void run_one_round();
 
   RuntimeCore core_;
   std::vector<std::unique_ptr<Process>> processes_;
   std::unique_ptr<FaultRuntime> faults_;  // null on the fault-free fast path
   RunStatus status_ = RunStatus::kRunning;
-  std::vector<char> finished_flag_;  // per node; char: shard-safe writes
+  std::vector<char> finished_flag_;  // per window index; char: shard-safe
   /// Per-shard count of unfinished nodes in the shard's static node range.
   /// Written only by the shard's own worker (cache-line aligned), summed by
   /// the driver after the barrier — the batched finished() probe.

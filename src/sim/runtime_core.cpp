@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "sim/fault.hpp"
+#include "sim/shard_comm.hpp"
 #include "support/check.hpp"
 #include "support/simd.hpp"
 
@@ -292,20 +293,29 @@ std::size_t SlotBuckets::stage(std::uint64_t slot) {
 
 RuntimeCore::RuntimeCore(const Graph& g, std::uint64_t seed,
                          std::unique_ptr<Scheduler> scheduler,
-                         std::unique_ptr<ChannelDiscipline> discipline)
+                         std::unique_ptr<ChannelDiscipline> discipline,
+                         shard_comm::Transport* transport)
     : graph_(&g),
       scheduler_(scheduler ? std::move(scheduler)
                            : std::make_unique<SerialScheduler>()),
       discipline_(discipline ? std::move(discipline)
                              : std::make_unique<FreeForAllDiscipline>()) {
   const NodeId n = g.num_nodes();
+  NodeId hi = n;
+  if (transport != nullptr && transport->ranks() > 1) {
+    exchange_ = std::make_unique<shard_comm::RoundExchange>(*transport, n);
+    lo_ = exchange_->lo();
+    hi = exchange_->hi();
+  }
   // Views are O(n) pointer setup over the graph's shared CSR arena — no
   // per-node adjacency copy, no per-node edge index (see graph/graph.hpp).
-  views_.resize(n);
-  rngs_.reserve(n);
+  // The per-node streams fork from one root (Rng::fork is pure), so a
+  // window's nodes draw exactly the whole run's sequences.
+  views_.resize(hi - lo_);
+  rngs_.reserve(hi - lo_);
   Rng root(seed);
-  for (NodeId v = 0; v < n; ++v) {
-    views_[v] = LocalView{v, n, &g};
+  for (NodeId v = lo_; v < hi; ++v) {
+    views_[v - lo_] = LocalView{v, n, &g};
     rngs_.push_back(root.fork(v));
   }
   shards_.resize(scheduler_->shards());
@@ -313,8 +323,23 @@ RuntimeCore::RuntimeCore(const Graph& g, std::uint64_t seed,
   for (unsigned s = 0; s < scheduler_->shards(); ++s) {
     shards_[s].latency = &latency_.block(s);
   }
-  arena_.reset(n, scheduler_->shards());
-  discipline_->reset(n);
+  // A sharded run flips the ingress buffers, one per source rank.
+  arena_.reset(hi - lo_, exchange_ ? transport->ranks() : scheduler_->shards());
+  discipline_->reset(n);  // the replicated channel spans all n nodes
+}
+
+RuntimeCore::~RuntimeCore() = default;
+
+void RuntimeCore::share_outstanding(std::int64_t local) {
+  if (exchange_ != nullptr) exchange_->swap_outstanding(local);
+}
+
+std::int64_t RuntimeCore::peer_outstanding() const {
+  return exchange_ != nullptr ? exchange_->peer_outstanding() : 0;
+}
+
+std::uint64_t RuntimeCore::xshard_msgs() const {
+  return exchange_ != nullptr ? exchange_->xshard_msgs() : 0;
 }
 
 SlotObservation RuntimeCore::resolve_slot() {
@@ -324,7 +349,8 @@ SlotObservation RuntimeCore::resolve_slot() {
   return obs;
 }
 
-void RuntimeCore::run_round(Scheduler::NodeFn fn) {
+void RuntimeCore::run_round(Scheduler::NodeFn fn,
+                            const std::vector<ShardOutstanding>& outstanding) {
   if (wake_.all_awake()) {
     // Nobody sleeps: every node runs, dispatched by id.
     wake_.gather_all(round_);
@@ -356,25 +382,37 @@ void RuntimeCore::run_round(Scheduler::NodeFn fn) {
     sb.sleepers = 0;
   }
   wake_.commit(round_, any_slept);
-  // Message wakes matter only if some node sleeps into the next round.
-  const bool mark_messages = !wake_.all_awake();
   for (ShardBuffer& sb : shards_) {
-    for (ChannelWrite& w : sb.channel_writes) {
-      slot_writes_.push_back(std::move(w));
-    }
-    sb.channel_writes.clear();
     metrics_.p2p_messages += sb.p2p_sent;
     sb.p2p_sent = 0;
     if (faults_ != nullptr) {
       faults_->stats().drops += sb.fault_drops;
       sb.fault_drops = 0;
     }
-    if (mark_messages) {
+  }
+  // What the flip delivers: the shards' own outboxes, or on a sharded run
+  // the ingress buffers the rank seam fills (window-local destinations).
+  std::vector<ShardBuffer>* delivered = &shards_;
+  if (exchange_ == nullptr) {
+    for (ShardBuffer& sb : shards_) {
+      for (ChannelWrite& w : sb.channel_writes) {
+        slot_writes_.push_back(std::move(w));
+      }
+      sb.channel_writes.clear();
+    }
+  } else {
+    delivered =
+        &exchange_->round(shards_, outstanding_sum(outstanding), slot_writes_);
+  }
+  // Message wakes matter only if some node sleeps into the next round.  A
+  // header from another rank wakes its destination like a local one.
+  if (!wake_.all_awake()) {
+    for (const ShardBuffer& sb : *delivered) {
       for (const MsgHeader& h : sb.outbox) wake_.mark_message(h.to);
     }
   }
   slot_ = resolve_slot();
-  arena_.flip(shards_);  // clears the shard outboxes, recycles the pools
+  arena_.flip(*delivered);  // clears the outboxes, recycles the pools
   ++round_;
   ++metrics_.rounds;
 }

@@ -49,6 +49,11 @@ namespace mmn::sim {
 
 class FaultRuntime;
 
+namespace shard_comm {
+class RoundExchange;
+class Transport;
+}  // namespace shard_comm
+
 /// Outcome of an engine's last step()/run() call.  Shared by both stepping
 /// policies: AsyncEngine has reported it since PR 2; the synchronous Engine
 /// grew the same non-aborting surface in the fault PR.  kSlotCapReached
@@ -205,14 +210,22 @@ struct alignas(64) ShardOutstanding {
 std::vector<ShardOutstanding> initial_outstanding(
     const std::vector<char>& flags, unsigned shards);
 
-/// True when no shard has unfinished nodes left.  Summed, not tested per
-/// shard: the synchronous engine dispatches only awake nodes, so a node's
+/// Unfinished nodes over all shards.  Summed, not read per shard: the
+/// synchronous engine dispatches only awake nodes, so a node's
 /// finished-transition is counted by whichever shard ran it that round and
 /// a single shard's count may go negative.
-inline bool none_outstanding(const std::vector<ShardOutstanding>& counts) {
+inline std::int64_t outstanding_sum(
+    const std::vector<ShardOutstanding>& counts) {
   std::int64_t total = 0;
   for (const ShardOutstanding& s : counts) total += s.count;
-  return total == 0;
+  return total;
+}
+
+/// True when no node is unfinished: none in `counts`, none on other ranks
+/// (`peers`, the sharded run's piggybacked counts).
+inline bool none_outstanding(const std::vector<ShardOutstanding>& counts,
+                             std::int64_t peers = 0) {
+  return outstanding_sum(counts) + peers == 0;
 }
 
 /// Per-round API handed to a Process.  All sends happen "this round" and are
@@ -279,8 +292,8 @@ class NodeContext final {
 
   /// Rounds this node slept through since it last ran: 0 unless its last
   /// round declared a sleep.  A process that sleeps catches up on them
-  /// here.  Engines that step every node every round (RankEngine, the
-  /// synchronizer's shim) always pass 0.
+  /// here.  The synchronizer's shim steps every node every round and
+  /// always passes 0.
   std::uint64_t slept() const { return slept_; }
 
   /// Declares when this node next needs to run: on a message (always), on
@@ -679,31 +692,51 @@ class SlotBuckets {
 };
 
 /// The substrate both engines execute on.
+///
+/// A core steps a window [lo, lo + num_nodes()) of the graph's node ids,
+/// and every per-node accessor takes a window index i (node lo + i).
+/// Without a transport, or with a single-rank one, the window is all n
+/// nodes and i is the node id.  With a K-rank transport the core is rank
+/// r's shard of a sharded run (sim/shard_comm.hpp): the window is
+/// Scheduler::shard_range(n, r, K), views, RNG streams and the arena exist
+/// only for it, and run_round swaps each round's cross-window sends,
+/// channel writes and outstanding counts with the peers.  The channel and
+/// its discipline are replicated, not sharded: every rank resolves every
+/// slot from the identical rank-major write list.
 class RuntimeCore {
  public:
   /// Builds views, per-node RNG streams forked from `seed`, the channel,
   /// metrics, and the message arena.  Views are non-owning windows into the
   /// graph's CSR arena (O(n) pointer setup, no adjacency copies), so `g`
-  /// must outlive the core and every engine built on it.  A null scheduler
-  /// means serial; a null discipline means free-for-all (the bare Section 2
-  /// channel).
+  /// must outlive the core and every engine built on it; with a K-rank
+  /// transport `g` may be a windowed build covering this rank's window
+  /// (build_topology_window).  A null scheduler means serial; a null
+  /// discipline means free-for-all (the bare Section 2 channel).  Every
+  /// rank must pass an identically constructed discipline.
   RuntimeCore(const Graph& g, std::uint64_t seed,
               std::unique_ptr<Scheduler> scheduler = nullptr,
-              std::unique_ptr<ChannelDiscipline> discipline = nullptr);
+              std::unique_ptr<ChannelDiscipline> discipline = nullptr,
+              shard_comm::Transport* transport = nullptr);
+  ~RuntimeCore();
 
   RuntimeCore(const RuntimeCore&) = delete;
   RuntimeCore& operator=(const RuntimeCore&) = delete;
 
+  /// Nodes this core steps: its window's size (all n without ranks).
   NodeId num_nodes() const { return static_cast<NodeId>(views_.size()); }
+  /// First node id of the window.
+  NodeId lo() const { return lo_; }
+  /// True when node v lies in this core's window.
+  bool owns(NodeId v) const { return v >= lo_ && v - lo_ < num_nodes(); }
   const Graph& graph() const { return *graph_; }
-  const LocalView& view(NodeId v) const { return views_[v]; }
-  Rng& rng(NodeId v) { return rngs_[v]; }
+  const LocalView& view(NodeId i) const { return views_[i]; }
+  Rng& rng(NodeId i) { return rngs_[i]; }
   Channel& channel() { return channel_; }
   Metrics& metrics() { return metrics_; }
   const Metrics& metrics() const { return metrics_; }
   const SlotObservation& slot() const { return slot_; }
   std::uint64_t round() const { return round_; }
-  std::span<const Received> inbox(NodeId v) const { return arena_.inbox(v); }
+  std::span<const Received> inbox(NodeId i) const { return arena_.inbox(i); }
   Scheduler& scheduler() { return *scheduler_; }
   ShardBuffer& shard(unsigned s) { return shards_[s]; }
   ChannelDiscipline& discipline() { return *discipline_; }
@@ -714,18 +747,32 @@ class RuntimeCore {
   FaultRuntime* fault_runtime() { return faults_; }
 
   /// One lockstep round: gathers the round's awake nodes (sim/wake.hpp) and
-  /// runs `fn` over them under the scheduler, in ascending node order, then
-  /// commits deterministically — wake declarations folded, channel writes
-  /// and p2p sends merged in ascending shard order, slot resolved, arena
-  /// flipped, round advanced.  `fn` must enter() each node it is handed and
-  /// declare() its wake condition.  (Termination tracking lives with the
-  /// engines' per-shard outstanding counters; the core commits only
-  /// message/channel effects.)
-  void run_round(Scheduler::NodeFn fn);
+  /// runs `fn` over their window indices under the scheduler, in ascending
+  /// order, then commits deterministically — wake declarations folded,
+  /// channel writes and p2p sends merged in ascending shard order, on a
+  /// sharded run swapped with the peer ranks, slot resolved, arena flipped,
+  /// round advanced.  `fn` must enter() each node it is handed and declare()
+  /// its wake condition.  Termination tracking lives with the engine's
+  /// per-shard `outstanding` counters; the core only ships their sum to the
+  /// peers (peer_outstanding()).
+  void run_round(Scheduler::NodeFn fn,
+                 const std::vector<ShardOutstanding>& outstanding);
 
-  /// Per-node wake state of the activity-driven stepper.  Sized by the
-  /// synchronous Engine (wake().reset(n)) before its first run_round; the
-  /// asynchronous policy never dispatches through it and leaves it empty.
+  /// Swaps the initial outstanding count with the peer ranks, once, before
+  /// the first round; a no-op without ranks.
+  void share_outstanding(std::int64_t local);
+
+  /// Unfinished nodes on the other ranks as of the last swap (0 without
+  /// ranks).
+  std::int64_t peer_outstanding() const;
+
+  /// Cross-window messages this rank sent to its peers (0 without ranks).
+  std::uint64_t xshard_msgs() const;
+
+  /// Per-node wake state of the activity-driven stepper, indexed by window
+  /// index.  Sized by the synchronous Engine (wake().reset(num_nodes()))
+  /// before its first run_round; the asynchronous policy never dispatches
+  /// through it and leaves it empty.
   WakeTable& wake() { return wake_; }
 
   /// Node-steps dispatched so far: the awake-list lengths, summed once per
@@ -764,6 +811,7 @@ class RuntimeCore {
 
  private:
   const Graph* graph_;
+  NodeId lo_ = 0;
   std::vector<LocalView> views_;
   std::vector<Rng> rngs_;
   std::unique_ptr<Scheduler> scheduler_;
@@ -778,6 +826,8 @@ class RuntimeCore {
   Metrics metrics_;
   WakeTable wake_;
   FaultRuntime* faults_ = nullptr;  ///< engine-owned; drops merge here
+  /// The rank seam of run_round; null without ranks (or with one rank).
+  std::unique_ptr<shard_comm::RoundExchange> exchange_;
   std::uint64_t round_ = 0;
   std::uint64_t node_steps_ = 0;
 };

@@ -7,13 +7,76 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
+#include <exception>
 
 #include "support/check.hpp"
 
 namespace mmn::sim::shard_comm {
 namespace {
+
+constexpr PacketRef kNoRef = static_cast<PacketRef>(-1);
+
+void append_bytes(std::vector<std::uint8_t>& blob, const void* data,
+                  std::size_t bytes) {
+  if (bytes == 0) return;  // data() of an empty vector may be null
+  const std::size_t old = blob.size();
+  blob.resize(old + bytes);
+  std::memcpy(blob.data() + old, data, bytes);
+}
+
+void append_u64(std::vector<std::uint8_t>& blob, std::uint64_t x) {
+  append_bytes(blob, &x, sizeof(x));
+}
+
+/// Bounds-checked cursor over a received blob; every read is validated so a
+/// torn or hostile frame trips MMN_REQUIRE instead of reading wild memory.
+struct BlobReader {
+  const std::uint8_t* p;
+  std::size_t size;
+  std::size_t cur = 0;
+
+  void read(void* out, std::size_t bytes) {
+    std::memcpy(out, p + take(bytes), bytes);
+  }
+
+  /// Claims the next `bytes` bytes (a length read off the wire, so the
+  /// check cannot overflow) and returns their offset.
+  std::size_t take(std::uint64_t bytes) {
+    MMN_REQUIRE(bytes <= size - cur, "rank exchange blob truncated");
+    const std::size_t at = cur;
+    cur += bytes;
+    return at;
+  }
+
+  /// A reader over the next `bytes` bytes, which this one skips.
+  BlobReader sub(std::uint64_t bytes) {
+    return BlobReader{p + take(bytes), static_cast<std::size_t>(bytes)};
+  }
+
+  std::uint64_t read_u64() {
+    std::uint64_t x = 0;
+    read(&x, sizeof(x));
+    return x;
+  }
+
+  /// Parses one live-prefix Packet (the first word carries the size field,
+  /// so the wire length is self-describing).  The void* casts opt into the
+  /// same partial-object copy the staging pools do (stale tail never read).
+  void read_packet(Packet& out) {
+    MMN_REQUIRE(sizeof(std::uint64_t) <= size - cur,
+                "rank exchange blob truncated");
+    std::memcpy(static_cast<void*>(&out), p + cur, sizeof(std::uint64_t));
+    const std::size_t live = out.live_bytes();
+    MMN_REQUIRE(live <= sizeof(Packet) && live <= size - cur,
+                "rank exchange packet overruns its blob");
+    std::memcpy(static_cast<void*>(&out), p + cur, live);
+    cur += live;
+  }
+};
 
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -216,15 +279,24 @@ void run_ranks(unsigned ranks, const std::function<void(Transport&)>& fn) {
     }
   }
 
+  if (my_rank != 0) {
+    // A child never returns into the caller, not even by an exception: it
+    // would go on running the parent's code (a test harness runs its
+    // remaining tests).  Skip atexit/static destructors too: the child
+    // shares the parent's stdio and harness state, none of which it owns.
+    int code = 0;
+    try {
+      SocketMesh mesh(my_rank, ranks, std::move(fds));
+      fn(mesh);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "rank %u: %s\n", my_rank, e.what());
+      code = 1;
+    }
+    ::_exit(code);
+  }
   {
     SocketMesh mesh(my_rank, ranks, std::move(fds));
     fn(mesh);
-  }
-
-  if (my_rank != 0) {
-    // Skip atexit/static destructors: the child shares the parent's stdio
-    // and test/bench harness state, none of which it owns.
-    ::_exit(0);
   }
   for (const pid_t pid : children) {
     int status = 0;
@@ -233,6 +305,182 @@ void run_ranks(unsigned ranks, const std::function<void(Transport&)>& fn) {
     MMN_REQUIRE(WIFEXITED(status) && WEXITSTATUS(status) == 0,
                 "a child rank exited abnormally");
   }
+}
+
+
+RoundExchange::RoundExchange(Transport& t, NodeId n)
+    : transport_(&t), rank_(t.rank()), ranks_(t.ranks()), n_(n) {
+  MMN_REQUIRE(ranks_ >= 1 && rank_ < ranks_, "rank out of range");
+  bounds_.resize(ranks_ + 1);
+  for (unsigned r = 0; r < ranks_; ++r) {
+    bounds_[r] = Scheduler::shard_range(n, r, ranks_).first;
+  }
+  bounds_[ranks_] = n;
+  ingress_.resize(ranks_);
+  out_headers_.resize(ranks_);
+  out_payload_.resize(ranks_);
+  last_src_.resize(ranks_);
+  last_emit_.resize(ranks_);
+  peer_writes_.resize(ranks_);
+}
+
+void RoundExchange::swap_outstanding(std::int64_t local) {
+  peer_outstanding_ = 0;
+  for (unsigned peer = 0; peer < ranks_; ++peer) {
+    if (peer == rank_) continue;
+    out_blob_.clear();
+    append_u64(out_blob_, static_cast<std::uint64_t>(local));
+    transport_->exchange(peer, out_blob_.data(), out_blob_.size(), in_blob_);
+    BlobReader in{in_blob_.data(), in_blob_.size()};
+    peer_outstanding_ += static_cast<std::int64_t>(in.read_u64());
+  }
+}
+
+unsigned RoundExchange::owner_of(NodeId v) const {
+  auto r = static_cast<unsigned>(static_cast<std::uint64_t>(v) * ranks_ / n_);
+  if (r >= ranks_) r = ranks_ - 1;
+  while (v < bounds_[r]) --r;
+  while (v >= bounds_[r + 1]) ++r;
+  return r;
+}
+
+/// Splits the round's staged sends into the own-window ingress buffer and
+/// one wire batch per destination rank.  Partition preserves outbox order,
+/// so every per-destination stream is still ascending-sender; interned
+/// broadcast runs (consecutive equal refs — refs are unique per
+/// stage_packet call within a shard, so equality implies one run) stage or
+/// ship one payload.
+void RoundExchange::partition(std::vector<ShardBuffer>& staged) {
+  ShardBuffer& own = ingress_[rank_];
+  const NodeId lo = this->lo();
+  for (unsigned r = 0; r < ranks_; ++r) {
+    out_headers_[r].clear();
+    out_payload_[r].clear();
+  }
+  std::fill(last_emit_.begin(), last_emit_.end(), 0);
+  for (const ShardBuffer& sb : staged) {
+    // Refs are per shard: a new shard starts new runs everywhere.
+    std::fill(last_src_.begin(), last_src_.end(), kNoRef);
+    const Packet* pool = sb.pool.data();
+    for (const MsgHeader& h : sb.outbox) {
+      const unsigned dst = owner_of(h.to);
+      if (dst == rank_) {
+        if (h.ref != last_src_[dst]) {
+          last_src_[dst] = h.ref;
+          last_emit_[dst] = own.stage_packet(pool[h.ref]);
+        }
+        own.outbox.push_back(
+            MsgHeader{h.to - lo, h.from, h.via, last_emit_[dst]});
+      } else {
+        if (h.ref != last_src_[dst]) {
+          last_src_[dst] = h.ref;
+          const Packet& pkt = pool[h.ref];
+          append_bytes(out_payload_[dst], &pkt, pkt.live_bytes());
+          ++last_emit_[dst];  // 1-based count; wire ref = count - 1
+        }
+        out_headers_[dst].push_back(
+            MsgHeader{h.to, h.from, h.via, last_emit_[dst] - 1});
+        ++xshard_msgs_;
+      }
+    }
+  }
+}
+
+/// One blob each way with `peer`: cross-shard headers + payloads, this
+/// rank's channel writes and its outstanding count.  The received headers
+/// land in ingress_[peer], the writes in peer_writes_[peer].
+void RoundExchange::swap_with(unsigned peer,
+                              const std::vector<ShardBuffer>& staged,
+                              std::int64_t local_outstanding) {
+  out_blob_.clear();
+  append_u64(out_blob_, out_headers_[peer].size());
+  append_bytes(out_blob_, out_headers_[peer].data(),
+               out_headers_[peer].size() * sizeof(MsgHeader));
+  append_u64(out_blob_, out_payload_[peer].size());
+  append_bytes(out_blob_, out_payload_[peer].data(),
+               out_payload_[peer].size());
+  std::uint64_t n_writes = 0;
+  for (const ShardBuffer& sb : staged) n_writes += sb.channel_writes.size();
+  append_u64(out_blob_, n_writes);
+  for (const ShardBuffer& sb : staged) {
+    for (const ChannelWrite& w : sb.channel_writes) {
+      append_bytes(out_blob_, &w.node, sizeof(w.node));
+      append_bytes(out_blob_, &w.packet, w.packet.live_bytes());
+    }
+  }
+  append_u64(out_blob_, static_cast<std::uint64_t>(local_outstanding));
+
+  transport_->exchange(peer, out_blob_.data(), out_blob_.size(), in_blob_);
+
+  BlobReader in{in_blob_.data(), in_blob_.size()};
+  const std::uint64_t n_headers = in.read_u64();
+  MMN_REQUIRE(n_headers <= (in.size - in.cur) / sizeof(MsgHeader),
+              "rank exchange blob truncated");
+  BlobReader headers = in.sub(n_headers * sizeof(MsgHeader));
+  BlobReader payload = in.sub(in.read_u64());
+  ShardBuffer& ingress = ingress_[peer];
+  // Wire refs are run ordinals: a ref change means the next payload in the
+  // stream; equal refs share the previously staged slot.
+  const NodeId lo = this->lo();
+  const NodeId hi = this->hi();
+  PacketRef last_wire = kNoRef;
+  PacketRef staged_ref = 0;
+  Packet pkt;
+  for (std::uint64_t i = 0; i < n_headers; ++i) {
+    MsgHeader h{};
+    headers.read(&h, sizeof(h));
+    MMN_REQUIRE(h.to >= lo && h.to < hi,
+                "cross-shard header addressed to a node this rank "
+                "does not own");
+    if (h.ref != last_wire) {
+      MMN_REQUIRE(h.ref == last_wire + 1 || last_wire == kNoRef,
+                  "cross-shard payload runs out of order");
+      last_wire = h.ref;
+      payload.read_packet(pkt);
+      staged_ref = ingress.stage_packet(pkt);
+    }
+    ingress.outbox.push_back(MsgHeader{h.to - lo, h.from, h.via, staged_ref});
+  }
+  MMN_REQUIRE(payload.cur == payload.size,
+              "cross-shard payload bytes left over");
+
+  const std::uint64_t n_peer_writes = in.read_u64();
+  std::vector<ChannelWrite>& writes = peer_writes_[peer];
+  writes.clear();
+  for (std::uint64_t i = 0; i < n_peer_writes; ++i) {
+    ChannelWrite w;
+    in.read(&w.node, sizeof(w.node));
+    in.read_packet(w.packet);
+    writes.push_back(std::move(w));
+  }
+  peer_outstanding_ += static_cast<std::int64_t>(in.read_u64());
+  MMN_REQUIRE(in.cur == in.size, "rank exchange blob has trailing bytes");
+}
+
+std::vector<ShardBuffer>& RoundExchange::round(
+    std::vector<ShardBuffer>& staged, std::int64_t local_outstanding,
+    std::vector<ChannelWrite>& writes) {
+  partition(staged);
+  // Peers in ascending id: the swap is full-duplex and ascending order
+  // admits no waiting cycle, so the round's exchange always completes.
+  peer_outstanding_ = 0;
+  for (unsigned peer = 0; peer < ranks_; ++peer) {
+    if (peer != rank_) swap_with(peer, staged, local_outstanding);
+  }
+  // Ranks own ascending node windows, so rank-major is ascending node
+  // order: the serial commit order the disciplines' determinism contract
+  // is stated over.
+  for (unsigned r = 0; r < ranks_; ++r) {
+    if (r != rank_) {
+      for (ChannelWrite& w : peer_writes_[r]) writes.push_back(std::move(w));
+      continue;
+    }
+    for (ShardBuffer& sb : staged) {
+      for (ChannelWrite& w : sb.channel_writes) writes.push_back(std::move(w));
+    }
+  }
+  for (ShardBuffer& sb : staged) sb.clear_round();
+  return ingress_;
 }
 
 }  // namespace mmn::sim::shard_comm

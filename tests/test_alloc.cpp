@@ -9,7 +9,8 @@
 // operator new
 // (it links into its own test binary; the counter covers every allocation in
 // the process, from any thread) and asserts the count stays zero across a
-// post-warm-up window on both engines, serial and 4-thread.
+// post-warm-up window on both engines, serial and 4-thread, and on a
+// 2-rank sharded run.
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -24,6 +25,8 @@
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/shard_comm.hpp"
+#include "support/check.hpp"
 
 namespace {
 
@@ -241,6 +244,27 @@ TEST(SteadyStateAllocation, SleepingSyncEngineAllocatesNothingPerRound) {
     EXPECT_LT(engine.node_steps(),
               std::uint64_t{g.num_nodes()} * engine.metrics().rounds);
   }
+}
+
+TEST(SteadyStateAllocation, RankedEngineAllocatesNothingPerRound) {
+  // Two rank processes over one random graph: every round partitions the
+  // sends, swaps blobs and channel writes with the peer and fills the
+  // ingress buffers, and sleeping nodes are woken by headers from the other
+  // rank.  The counter is per process after the fork, so each rank checks
+  // its own rounds (MMN_REQUIRE: a failing child fails the parent's reap).
+  shard_comm::run_ranks(2, [](shard_comm::Transport& t) {
+    const Graph g = random_connected(96, 192, 11);
+    Engine engine(g, [](const LocalView& v) {
+      return std::make_unique<SleepyChatterProcess>(v);
+    }, 11, nullptr, nullptr, &t);
+    const std::uint64_t allocs =
+        measure([&engine](std::uint64_t rounds) { engine.step(rounds); });
+    MMN_REQUIRE(allocs == 0, "a warmed-up ranked round allocated");
+    MMN_REQUIRE(engine.xshard_msgs() > 0, "no cross-rank traffic");
+    MMN_REQUIRE(engine.node_steps() <
+                    std::uint64_t{engine.num_nodes()} * engine.metrics().rounds,
+                "no owned node slept");
+  });
 }
 
 TEST(SteadyStateAllocation, AsyncEngineAllocatesNothingPerSlot) {

@@ -1,6 +1,6 @@
 // Tests for the channel-protocol toolbox: Capetanakis tree resolution,
-// deterministic election, randomized (pseudo-Bayesian) scheduling, TDMA and
-// the Greenberg–Ladner size estimator.
+// deterministic election, randomized (pseudo-Bayesian) scheduling and the
+// Greenberg–Ladner size estimator.
 //
 // Protocols are driven against a real Channel: each slot, every station
 // decides via should_transmit, the slot resolves, and every station (plus a
@@ -17,7 +17,6 @@
 #include "channel/election.hpp"
 #include "channel/pseudo_bayesian.hpp"
 #include "channel/size_estimator.hpp"
-#include "channel/tdma.hpp"
 #include "sim/channel.hpp"
 #include "support/math.hpp"
 #include "support/rng.hpp"
@@ -329,22 +328,6 @@ TEST(RandomizedScheduler, RobustToBadInitialEstimate) {
   // Pessimistic and optimistic initial backlogs must still converge.
   EXPECT_EQ(run_randomized(20, 1.0, 7).scheduled, 20u);
   EXPECT_EQ(run_randomized(3, 500.0, 8).scheduled, 3u);
-}
-
-// --- TDMA ----------------------------------------------------------------
-
-TEST(Tdma, OwnerCycles) {
-  const TdmaSchedule tdma(4);
-  EXPECT_EQ(tdma.owner(0), 0u);
-  EXPECT_EQ(tdma.owner(3), 3u);
-  EXPECT_EQ(tdma.owner(4), 0u);
-  EXPECT_TRUE(tdma.my_slot(6, 2));
-  EXPECT_FALSE(tdma.my_slot(6, 3));
-  EXPECT_EQ(tdma.cycle_length(), 4u);
-}
-
-TEST(Tdma, RejectsZeroStations) {
-  EXPECT_THROW(TdmaSchedule(0), std::invalid_argument);
 }
 
 // --- Size estimator --------------------------------------------------------

@@ -1,8 +1,9 @@
-// Sharded execution (sim/rank.hpp, scenario/rank_run.hpp): windowed graph
-// builds must reproduce the full build's owned rows bit for bit, the
+// Sharded execution (sim/shard_comm.hpp, scenario/rank_run.hpp): windowed
+// graph builds must reproduce the full build's owned rows bit for bit, the
 // socketpair transport must swap arbitrary blobs, and a sharded scenario
 // run must produce the serial run's digest, metrics, and fault stats
-// exactly — including under fault churn — across 1, 2, and 4 ranks.
+// exactly — including under fault churn — across 1, 2, and 4 ranks, while
+// dispatching exactly the serial engine's node-steps.
 //
 // Child ranks run in forked processes, so in-child checks use MMN_REQUIRE
 // (an aborting child fails the parent's waitpid requirement); gtest
@@ -16,6 +17,8 @@
 #include "graph/generators.hpp"
 #include "scenario/rank_run.hpp"
 #include "scenario/registry.hpp"
+#include "sim/engine.hpp"
+#include "sim/fault.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/shard_comm.hpp"
 #include "support/check.hpp"
@@ -144,29 +147,167 @@ TEST(RankRun, FaultChurnMatchesSerial) {
   expect_sharded_matches_serial("fault/load/churn/ring", 64, 7, 3);
 }
 
-// Dense oracle for activity-driven stepping: RankEngine still steps every
-// owned node every round and ignores wake declarations, so for every
-// synchronous scenario a sharded run is a dense reference for the sleeping
-// Engine — serial and 4-thread runs must match it in digest, Metrics and
-// FaultStats at the scenario's smallest sweep size.
-TEST(RankRun, SleepingEngineMatchesDenseRanksForEveryScenario) {
+// Dense oracle for activity-driven stepping.  Every row was produced by a
+// dense stepper — one that ran every node every round and ignored wake
+// declarations — so the sleeping engine must reproduce it exactly: digest,
+// every Metrics field and every FaultStats field, at the scenario's
+// smallest sweep size and default seed.  One row per registry entry
+// run_sharded accepts; a new entry fails the coverage check below until
+// its row is added.
+struct DenseGolden {
+  const char* name;
+  NodeId n;
+  bool completed;
+  std::uint64_t digest;
+  Metrics metrics;  // rounds, p2p, idle, success, collision, channel_ticks
+  sim::FaultStats faults;  // downs, ups, crashes, recoveries, links_down,
+                           // nodes_down, drops, orphaned, recovery_slots
+};
+
+const DenseGolden kDenseGolden[] = {
+    {"partition/det/random", 64, true, 0xb52751f4c2bbf92full,
+     {272, 3341, 58, 20, 194, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"partition/rand/random", 64, true, 0x41c4e295b4da8683ull,
+     {33, 1112, 10, 0, 23, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"partition/anon/random", 64, true, 0xc6c0e7f56e0c7ce4ull,
+     {39, 1094, 15, 3, 21, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"mst/random", 64, true, 0x6db48771e18a3ed9ull,
+     {296, 3843, 63, 30, 203, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"global/min/det/random", 64, true, 0xea7805377dec9065ull,
+     {292, 3461, 63, 26, 203, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"global/min/rand/ring", 256, true, 0xf579dcf3347b5825ull,
+     {308, 3424, 42, 29, 237, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"global/sum/bcast/complete", 64, true, 0x0b61602d3c827825ull,
+     {65, 0, 1, 64, 0, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"global/max/tdma/ring", 64, true, 0x718d46bfbf69e065ull,
+     {65, 0, 1, 64, 0, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"global/min/p2p/grid", 64, true, 0xea7805377dec9065ull,
+     {198, 1631, 198, 0, 0, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"global/sum/p2p/hypercube", 64, true, 0x0b61602d3c827825ull,
+     {27, 1791, 27, 0, 0, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"global/max/cape/ring", 64, true, 0x785329db51a3f265ull,
+     {128, 0, 1, 64, 63, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"global/sum/tdma/grid", 64, true, 0x0b61602d3c827825ull,
+     {65, 0, 1, 64, 0, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"size/unslotted/clique", 48, true, 0x574c01362e41b6e5ull,
+     {119, 854, 24, 31, 64, 4097},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"partition/det/unslotted/random", 64, true, 0xb52751f4c2bbf92full,
+     {272, 3341, 58, 20, 194, 9473},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"global/min/p2p/unslotted/grid", 64, true, 0x5645c00d13752e65ull,
+     {198, 1631, 198, 0, 0, 792},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"size/det/random", 64, true, 0x7f337c948a478825ull,
+     {129, 1157, 25, 34, 70, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"global/min/det/ray", 64, true, 0xea7805377dec9065ull,
+     {371, 3704, 65, 9, 297, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"partition/det/ray", 64, true, 0x6439037d2ac7fff7ull,
+     {347, 3582, 58, 5, 284, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"global/sum/bcast/iclique", 64, true, 0x0b61602d3c827825ull,
+     {65, 0, 1, 64, 0, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"size/unslotted/iclique", 48, true, 0x574c01362e41b6e5ull,
+     {83, 1084, 21, 25, 37, 2661},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"load/poisson/ffa/ring", 64, true, 0x15d2eff11aaef517ull,
+     {1201, 6, 9, 3, 1189, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"load/poisson/pb/ring", 64, true, 0xade5a067520dc1dbull,
+     {1201, 708, 574, 354, 273, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"load/poisson/resv/ring", 64, true, 0x42de143cbc806756ull,
+     {1870, 1938, 330, 970, 570, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"load/onoff/resv/grid", 64, true, 0x983ff995b8218683ull,
+     {1600, 2926, 279, 835, 486, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"load/poisson/pb/iclique", 64, true, 0x3e43efbb04bac5e6ull,
+     {3392, 69552, 871, 1105, 1416, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"load/poisson/tdma/ring", 64, true, 0x5bc01ebe18269112ull,
+     {1356, 1202, 754, 602, 0, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"load/poisson/cape/ring", 64, true, 0x581cf705d2d7085full,
+     {1204, 946, 272, 474, 458, 0},
+     {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"fault/load/churn/ring", 64, true, 0xb19f0e9bfb54197eull,
+     {1465, 1455, 276, 735, 454, 0},
+     {3, 2, 1, 1, 1, 0, 13, 0, 0}},
+};
+
+void expect_golden(const DenseGolden& want, const RunResult& got,
+                   const char* how) {
+  EXPECT_EQ(got.digest, want.digest) << want.name << " " << how;
+  EXPECT_TRUE(got.metrics == want.metrics)
+      << want.name << " " << how << ": " << got.metrics.to_string();
+  EXPECT_TRUE(got.faults == want.faults) << want.name << " " << how;
+  EXPECT_EQ(got.completed, want.completed) << want.name << " " << how;
+}
+
+TEST(RankRun, EveryScenarioMatchesItsDenseGolden) {
   scenario::register_builtin();
-  int checked = 0;
+  std::size_t shardable = 0;
   for (const scenario::Scenario& s : Registry::instance().all()) {
     if (s.fault_recovery && s.default_faults > 0) continue;  // not shardable
-    const NodeId n = s.sweep_n.front();
-    const RunResult dense = run_sharded(s, n, s.default_seed, 2);
-    for (unsigned threads : {1u, 4u}) {
-      const RunResult r = run(s, n, s.default_seed,
-                              sim::make_scheduler(threads));
-      EXPECT_EQ(r.digest, dense.digest) << s.name << " t" << threads;
-      EXPECT_TRUE(r.metrics == dense.metrics) << s.name << " t" << threads;
-      EXPECT_TRUE(r.faults == dense.faults) << s.name << " t" << threads;
-      EXPECT_EQ(r.completed, dense.completed) << s.name << " t" << threads;
-    }
-    ++checked;
+    ++shardable;
   }
-  EXPECT_GT(checked, 20);
+  EXPECT_EQ(shardable, std::size(kDenseGolden))
+      << "every shardable registry entry needs a dense golden row";
+  for (const DenseGolden& want : kDenseGolden) {
+    const scenario::Scenario* s = Registry::instance().find(want.name);
+    ASSERT_NE(s, nullptr) << want.name;
+    ASSERT_EQ(s->sweep_n.front(), want.n) << want.name;
+    const std::uint64_t seed = s->default_seed;
+    expect_golden(want, run(*s, want.n, seed), "serial");
+    expect_golden(want, run(*s, want.n, seed, sim::make_scheduler(4)), "t4");
+    expect_golden(want, run_sharded(*s, want.n, seed, 2), "r2");
+    expect_golden(want, run_sharded(*s, want.n, seed, 4), "r4");
+  }
+}
+
+// Ranks sleep: the node-steps a sharded run dispatches, summed over ranks,
+// equal the serial Engine's, which skip most of n * rounds.
+TEST(RankRun, RanksDispatchTheSerialNodeSteps) {
+  scenario::register_builtin();
+  const struct {
+    const char* name;
+    NodeId n;
+  } cases[] = {{"global/min/rand/ring", 256}, {"global/min/det/random", 96}};
+  for (const auto& c : cases) {
+    const scenario::Scenario* s = Registry::instance().find(c.name);
+    ASSERT_NE(s, nullptr) << c.name;
+    const std::uint64_t seed = s->default_seed;
+    const Graph g = scenario::make_scenario_graph(*s, c.n, seed);
+    sim::Engine serial(g, s->make_factory(g), seed, nullptr,
+                       sim::make_discipline(s->discipline,
+                                            sim::UnslottedConfig{}, seed));
+    ASSERT_TRUE(serial.step(s->max_rounds)) << c.name;
+    EXPECT_LT(serial.node_steps(),
+              std::uint64_t{g.num_nodes()} * serial.metrics().rounds)
+        << c.name << ": the serial engine slept no node";
+    for (unsigned ranks : {2u, 4u}) {
+      ShardStats stats;
+      run_sharded(*s, c.n, seed, ranks, 0.0, 0, &stats);
+      EXPECT_EQ(stats.node_steps, serial.node_steps())
+          << c.name << " ranks=" << ranks;
+    }
+  }
 }
 
 TEST(RankRun, CrossShardTrafficIsCounted) {

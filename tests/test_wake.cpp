@@ -1,8 +1,9 @@
 // Activity-driven stepping (sim/wake.hpp): a node that declares a sleep is
 // dispatched exactly on its wake conditions — a message, a subscribed slot
 // outcome, a due round — in ascending node order within each round, with
-// the slept-round count it catches up on; a crash is not a sleep; and the
-// dispatched node-steps counter reflects all of it.
+// the slept-round count it catches up on; a crash is not a sleep; sharded
+// runs dispatch the same node-steps; and the dispatched node-steps counter
+// reflects all of it.
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -15,6 +16,8 @@
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/shard_comm.hpp"
+#include "support/check.hpp"
 
 namespace mmn::sim {
 namespace {
@@ -167,6 +170,42 @@ TEST(WakeSemantics, CrashIsNotSleep) {
     // sleeps again until round 11.
     const StepLog expected{{0, 0}, {3, 2}, {8, 1}, {11, 2}};
     EXPECT_EQ(log_of(*engine, 3), expected) << threads << " thread(s)";
+  }
+}
+
+TEST(WakeSemantics, RanksDispatchTheSerialRounds) {
+  // With 8 ranks every node is its own window, so node 1's message wake,
+  // the slot wakes and the crash handling of nodes 3 and 6 all cross the
+  // rank seam; 2 ranks put node 6's crash in the upper window.  Ranks run
+  // in forked processes and check their owned nodes with MMN_REQUIRE.
+  const Graph g = build_topology(TopologySpec{TopoKind::kRing, 8, 1});
+  FaultPlan plan;
+  plan.add(FaultEvent{4, FaultKind::kNodeCrash, 6});
+  plan.add(FaultEvent{5, FaultKind::kNodeCrash, 3});
+  plan.add(FaultEvent{8, FaultKind::kNodeRecover, 3});
+  plan.add(FaultEvent{9, FaultKind::kNodeRecover, 6});
+  auto serial = toy_engine(g, 1, nullptr);
+  serial->install_faults(plan);
+  serial->step(12);
+  for (unsigned ranks : {2u, 8u}) {
+    shard_comm::run_ranks(ranks, [&](shard_comm::Transport& t) {
+      Engine ranked(g,
+                    [](const LocalView& v) {
+                      return std::make_unique<ToyProcess>(v, nullptr);
+                    },
+                    7, nullptr, nullptr, &t);
+      ranked.install_faults(plan);
+      ranked.step(12);
+      const auto [lo, hi] = Scheduler::shard_range(8, t.rank(), ranks);
+      for (NodeId v = lo; v < hi; ++v) {
+        MMN_REQUIRE(log_of(ranked, v) == log_of(*serial, v),
+                    "a rank dispatched a node in other rounds than serial");
+      }
+      MMN_REQUIRE(ranked.metrics().rounds == serial->metrics().rounds &&
+                      ranked.metrics().slots_idle ==
+                          serial->metrics().slots_idle,
+                  "ranks resolved other slots than serial");
+    });
   }
 }
 
