@@ -63,12 +63,11 @@ void BM_Recovery(benchmark::State& state, const char* scenario_name,
   }
   scenario::RunResult result;
   for (auto _ : state) {
-    result = scenario::run(*s, n, s->default_seed);
+    result = scenario::run(*s, {.n = n, .seed = s->default_seed});
     benchmark::DoNotOptimize(result.digest);
   }
   const scenario::RunResult parallel = scenario::run(
-      *s, n, s->default_seed,
-      std::make_unique<sim::ParallelScheduler>(kCheckThreads));
+      *s, {.n = n, .seed = s->default_seed, .threads = kCheckThreads});
   if (parallel.digest != result.digest ||
       parallel.recovery_slots != result.recovery_slots) {
     state.SkipWithError("serial and 4-thread recovery runs diverged");

@@ -1,6 +1,6 @@
 // E15 — Sharded execution bench (google-benchmark): cross-rank message
 // batching throughput of the rank driver (sim/engine.hpp, sim/shard_comm.hpp,
-// scenario/rank_run.hpp).
+// scenario/run.cpp).
 //
 // Rows shard/<scenario>/<n>/r<K> fork K rank processes per iteration, each
 // owning one contiguous node window of the topology, and step the scenario
@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "scenario/rank_run.hpp"
 #include "scenario/registry.hpp"
 
 namespace mmn {
@@ -45,14 +44,15 @@ void BM_Sharded(benchmark::State& state, const char* scenario_name, NodeId n,
     state.SkipWithError("scenario not registered");
     return;
   }
-  const scenario::RunResult serial = scenario::run(*s, n, s->default_seed);
+  const scenario::RunResult serial =
+      scenario::run(*s, {.n = n, .seed = s->default_seed});
   scenario::RunResult result;
-  scenario::ShardStats stats;
   for (auto _ : state) {
-    result = scenario::run_sharded(*s, n, s->default_seed, ranks, 0.0, 0,
-                                   &stats);
+    result = scenario::run(*s, {.n = n, .seed = s->default_seed,
+                                .ranks = ranks});
     benchmark::DoNotOptimize(result.digest);
   }
+  const scenario::ShardStats& stats = result.shard;
   if (result.digest != serial.digest ||
       !(result.metrics == serial.metrics)) {
     state.SkipWithError("sharded and serial runs diverged");

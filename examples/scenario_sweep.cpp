@@ -16,24 +16,23 @@
 //   $ ./example_scenario_sweep --ranks=4 --scenario=global/min/rand/ring
 //
 // --ranks=K runs the synchronous rows sharded over K OS processes
-// (scenario/rank_run.hpp): each rank builds only its node window and the
-// rows — digest included — are bit-identical to the serial table's, which
-// is exactly what the CI serial-vs-sharded diff pins.  Rank mode is
-// synchronous-only, so the @async section is skipped, as are the two-phase
-// fault-recovery scenarios; it composes with --n/--load/--faults but not
+// (RunConfig::ranks): each rank builds only its node window and the rows —
+// digest included — are bit-identical to the serial table's, which is
+// exactly what the CI serial-vs-sharded diff pins.  Rank mode is
+// synchronous-only, so the @async section is skipped; the full table also
+// skips the two-phase fault-recovery scenarios (naming one with
+// --scenario exits non-zero).  It composes with --n/--load/--faults but not
 // with a thread count (one process per rank, serial inside).
 //
 // --n is STRICT: a size the topology family does not admit (a non-power-of-
 // two hypercube, a non-square grid) exits non-zero instead of silently
 // clamping — sweep automation must never report a different n than asked.
-// --load is equally strict: it only applies to load-capable scenarios (the
-// open-loop load/ family), and selecting it with anything else exits
-// non-zero instead of silently running the scenario at no load.  --faults
-// follows the same rule for fault-capable scenarios (the fault/ family):
-// it scales the fault intensity k, and naming it with a scenario that has
-// no make_fault_plan exits non-zero.  Fault-capable scenarios run at their
-// default_faults even without the flag — the fault/ rows are always
-// faulted rows.
+// --load scales the offered load of the open-loop load/ scenarios and
+// --faults the fault intensity k of the fault/ ones (which run at their
+// default_faults even without the flag).  A selected scenario that cannot
+// take the requested load, faults or ranks exits non-zero with
+// scenario::unsupported_reason — the rule run() enforces — instead of
+// silently running something other than what was asked.
 //
 // CI diffs the serial and parallel tables row by row, so a malformed
 // registry entry must fail the sweep loudly instead of being skipped:
@@ -43,14 +42,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 
 #include "graph/generators.hpp"
-#include "scenario/rank_run.hpp"
 #include "scenario/registry.hpp"
 #include "sim/channel_discipline.hpp"
-#include "sim/scheduler.hpp"
 
 namespace {
 
@@ -106,78 +104,84 @@ void print_row(const mmn::scenario::Scenario& s, const char* suffix,
   std::printf("\n");
 }
 
+/// Strict parse of a whole argument into [lo, hi]: a sign, trailing junk,
+/// a fraction where an integer is due, or an out-of-range value fails
+/// instead of being truncated into a different value than the caller
+/// asked for.
+bool parse_number(const char* text, bool integral, double lo, double hi,
+                  double& out) {
+  if (integral && (*text == '\0' ||
+                   std::strspn(text, "0123456789") != std::strlen(text))) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE || !(v >= lo) ||
+      v > hi) {
+    return false;
+  }
+  out = v;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace mmn;
-  unsigned threads = 1;
-  NodeId requested_n = 0;  // 0 = each scenario's smallest sweep size
-  double load = 0.0;       // 0 = each load scenario's default_load
-  unsigned faults = 0;     // 0 = each fault scenario's default_faults
-  unsigned ranks = 1;      // 1 = in-process serial/parallel run
-  std::string only;        // empty = every scenario
+  using scenario::EngineKind;
+  double threads = 1;
+  double n = 0;       // 0 = each scenario's smallest sweep size
+  double load = 0;    // 0 = each load scenario's default_load
+  double faults = 0;  // 0 = each fault scenario's default_faults
+  double ranks = 1;   // 1 = in-process serial/parallel run
+  std::string only;   // empty = every scenario
+  const struct {
+    const char* flag;
+    bool integral;
+    double lo, hi;
+    double* out;
+  } flags[] = {
+      {"--n=", true, 1, 4294967295.0, &n},
+      {"--load=", false, std::numeric_limits<double>::denorm_min(), 64, &load},
+      {"--faults=", true, 1, 4096, &faults},
+      {"--ranks=", true, 1, 64, &ranks},
+  };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strncmp(arg, "--n=", 4) == 0) {
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long long n = std::strtoull(arg + 4, &end, 10);
-      // Strict parse: out-of-range values must fail, not truncate into a
-      // different (smaller) size than the caller asked for.
-      if (end == arg + 4 || *end != '\0' || errno == ERANGE || n < 1 ||
-          n > 0xFFFFFFFFull || arg[4] == '-') {
-        std::fprintf(stderr, "bad --n value: %s\n", arg + 4);
-        return 2;
-      }
-      requested_n = static_cast<NodeId>(n);
-    } else if (std::strncmp(arg, "--load=", 7) == 0) {
-      char* end = nullptr;
-      errno = 0;
-      const double parsed = std::strtod(arg + 7, &end);
-      if (end == arg + 7 || *end != '\0' || errno == ERANGE ||
-          !(parsed > 0.0) || parsed > 64.0) {
-        std::fprintf(stderr, "bad --load value: %s\n", arg + 7);
-        return 2;
-      }
-      load = parsed;
-    } else if (std::strncmp(arg, "--faults=", 9) == 0) {
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long long parsed = std::strtoull(arg + 9, &end, 10);
-      if (end == arg + 9 || *end != '\0' || errno == ERANGE || parsed < 1 ||
-          parsed > 4096 || arg[9] == '-') {
-        std::fprintf(stderr, "bad --faults value: %s\n", arg + 9);
-        return 2;
-      }
-      faults = static_cast<unsigned>(parsed);
-    } else if (std::strncmp(arg, "--ranks=", 8) == 0) {
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long long parsed = std::strtoull(arg + 8, &end, 10);
-      if (end == arg + 8 || *end != '\0' || errno == ERANGE || parsed < 1 ||
-          parsed > 64 || arg[8] == '-') {
-        std::fprintf(stderr, "bad --ranks value: %s\n", arg + 8);
-        return 2;
-      }
-      ranks = static_cast<unsigned>(parsed);
-    } else if (std::strncmp(arg, "--scenario=", 11) == 0) {
+    if (std::strncmp(arg, "--scenario=", 11) == 0) {
       only = arg + 11;
-    } else {
-      char* end = nullptr;
-      const long parsed = std::strtol(arg, &end, 10);
-      if (end == arg || *end != '\0' || parsed < 1 || parsed > 256) {
-        std::fprintf(stderr,
-                     "usage: %s [threads: 1..256] [--n=N] [--load=L] "
-                     "[--faults=K] [--scenario=NAME]\n",
-                     argv[0]);
+      continue;
+    }
+    bool matched = false;
+    for (const auto& f : flags) {
+      const std::size_t len = std::strlen(f.flag);
+      if (std::strncmp(arg, f.flag, len) != 0) continue;
+      matched = true;
+      if (!parse_number(arg + len, f.integral, f.lo, f.hi, *f.out)) {
+        std::fprintf(stderr, "bad %.*s value: %s\n", int(len - 1), f.flag,
+                     arg + len);
         return 2;
       }
-      threads = static_cast<unsigned>(parsed);
+    }
+    if (!matched && !parse_number(arg, true, 1, 256, threads)) {
+      std::fprintf(stderr,
+                   "usage: %s [threads: 1..256] [--n=N] [--load=L] "
+                   "[--faults=K] [--ranks=K] [--scenario=NAME]\n",
+                   argv[0]);
+      return 2;
     }
   }
-  if (ranks > 1 && threads > 1) {
-    std::fprintf(stderr, "--ranks runs one serial process per rank; it does "
-                         "not compose with a thread count\n");
+  const NodeId requested_n = static_cast<NodeId>(n);
+  scenario::RunConfig base{.threads = static_cast<unsigned>(threads),
+                           .ranks = static_cast<unsigned>(ranks),
+                           .load = load,
+                           .faults = static_cast<std::uint32_t>(faults)};
+  // --ranks with a thread count is a usage error whatever the scenario.
+  if (const char* why = scenario::unsupported_reason(
+          scenario::Scenario{},
+          {.threads = base.threads, .ranks = base.ranks})) {
+    std::fprintf(stderr, "%s\n", why);
     return 2;
   }
 
@@ -188,98 +192,77 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "no such scenario: %s\n", only.c_str());
     return 1;
   }
-  // Strict size check up front: with an explicit --n every selected
-  // scenario's topology must admit exactly that n — no silent clamping.
-  if (requested_n != 0) {
-    bool ok = true;
-    for (const auto& s : scenarios) {
-      if (!only.empty() && s.name != only) continue;
-      if (!topology_valid_n(s.topology, requested_n)) {
-        std::fprintf(stderr,
-                     "%s: topology '%s' does not admit n=%u (nearest "
-                     "supported: %u)\n",
-                     s.name.c_str(), topology_name(s.topology), requested_n,
-                     topology_round_n(s.topology, requested_n));
-        ok = false;
-      }
+  const auto selected = [&](const scenario::Scenario& s) {
+    return only.empty() || s.name == only;
+  };
+  const auto config = [&](const scenario::Scenario& s, EngineKind engine) {
+    scenario::RunConfig cfg = base;
+    cfg.n = requested_n != 0 ? requested_n : s.sweep_n.front();
+    cfg.seed = s.default_seed;
+    cfg.engine = engine;
+    return cfg;
+  };
+  // Strict up front: with an explicit --n every selected scenario's
+  // topology must admit exactly that n — no silent clamping — and every
+  // selected scenario must accept the requested load, faults and ranks.
+  bool ok = true;
+  for (const auto& s : scenarios) {
+    if (!selected(s)) continue;
+    if (requested_n != 0 && !topology_valid_n(s.topology, requested_n)) {
+      std::fprintf(stderr,
+                   "%s: topology '%s' does not admit n=%u (nearest "
+                   "supported: %u)\n",
+                   s.name.c_str(), topology_name(s.topology), requested_n,
+                   topology_round_n(s.topology, requested_n));
+      ok = false;
     }
-    if (!ok) return 1;
-  }
-  // --load only means something to load-capable scenarios; running a
-  // closed-loop protocol "at load 0.7" would silently ignore the flag.
-  if (load > 0.0) {
-    bool ok = true;
-    for (const auto& s : scenarios) {
-      if (!only.empty() && s.name != only) continue;
-      if (!s.make_load_factory) {
-        std::fprintf(stderr, "%s is not load-capable; --load needs the "
-                     "open-loop load/ scenarios\n", s.name.c_str());
-        ok = false;
-      }
+    scenario::RunConfig cfg = config(s, EngineKind::kSync);
+    const char* why = scenario::unsupported_reason(s, cfg);
+    // The full table under --ranks skips the rows only rank mode cannot
+    // run (the two-phase recovery scenarios); a scenario named with
+    // --scenario must run as asked.
+    cfg.ranks = 1;
+    if (why != nullptr &&
+        !(only.empty() && scenario::unsupported_reason(s, cfg) == nullptr)) {
+      std::fprintf(stderr, "%s: %s\n", s.name.c_str(), why);
+      ok = false;
     }
-    if (!ok) return 1;
   }
-  // Same strictness for --faults: an intensity named against a scenario
-  // without a fault plan would silently run fault-free.
-  if (faults > 0) {
-    bool ok = true;
-    for (const auto& s : scenarios) {
-      if (!only.empty() && s.name != only) continue;
-      if (!s.make_fault_plan) {
-        std::fprintf(stderr, "%s is not fault-capable; --faults needs the "
-                     "fault/ scenarios\n", s.name.c_str());
-        ok = false;
-      }
-    }
-    if (!ok) return 1;
-  }
+  if (!ok) return 1;
 
-  std::size_t selected = 0;
-  for (const auto& s : scenarios) selected += only.empty() || s.name == only;
-  if (ranks > 1) {
+  std::size_t count = 0;
+  for (const auto& s : scenarios) count += selected(s);
+  if (base.ranks > 1) {
     std::printf("%zu scenario(s) selected of %zu registered; %u rank "
                 "processes\n\n",
-                selected, scenarios.size(), ranks);
+                count, scenarios.size(), base.ranks);
   } else {
     std::printf("%zu scenario(s) selected of %zu registered; scheduler: "
                 "%s\n\n",
-                selected, scenarios.size(),
-                threads > 1 ? "parallel" : "serial");
+                count, scenarios.size(),
+                base.threads > 1 ? "parallel" : "serial");
   }
   std::printf("%-30s %-9s %-11s %8s %10s %12s %18s\n", "scenario", "topology",
               "discipline", "n", "rounds", "msgs", "digest");
   for (const auto& s : scenarios) {
-    if (!only.empty() && s.name != only) continue;
-    const NodeId n = requested_n != 0 ? requested_n : s.sweep_n.front();
-    if (ranks > 1 && s.fault_recovery) {
-      // The two-phase epoch rebuild re-runs on a compacted graph the rank
-      // windows were not cut for; recovery rows stay serial-only.
-      std::fprintf(stderr, "%s: fault-recovery scenarios run serial only; "
-                           "skipped under --ranks\n", s.name.c_str());
+    if (!selected(s)) continue;
+    const scenario::RunConfig cfg = config(s, EngineKind::kSync);
+    if (const char* why = scenario::unsupported_reason(s, cfg)) {
+      std::fprintf(stderr, "%s: %s; skipped under --ranks\n", s.name.c_str(),
+                   why);
       continue;
     }
-    const scenario::RunResult r =
-        ranks > 1
-            ? scenario::run_sharded(s, n, s.default_seed, ranks, load, faults)
-            : scenario::run(s, n, s.default_seed,
-                            threads > 1 ? sim::make_scheduler(threads)
-                                        : nullptr,
-                            scenario::EngineKind::kSync, load, faults);
-    print_row(s, "", r);
+    print_row(s, "", scenario::run(s, cfg));
   }
   // The asynchronous engine runs channel-free workloads (through the
   // busy-tone synchronizer) and the open-loop load scenarios (natively, no
   // synchronizer); rounds are channel slots there.  Rank mode is
-  // synchronous-only, so the section is skipped under --ranks.
+  // synchronous-only, so the section is empty under --ranks.
   for (const auto& s : scenarios) {
-    if (ranks > 1) break;
-    if (!s.channel_free && !s.make_async_load_factory) continue;
-    if (!only.empty() && s.name != only) continue;
-    const NodeId n = requested_n != 0 ? requested_n : s.sweep_n.front();
-    const scenario::RunResult r = scenario::run(
-        s, n, s.default_seed,
-        threads > 1 ? sim::make_scheduler(threads) : nullptr,
-        scenario::EngineKind::kAsync, load, faults);
+    if (!selected(s)) continue;
+    const scenario::RunConfig cfg = config(s, EngineKind::kAsync);
+    if (scenario::unsupported_reason(s, cfg) != nullptr) continue;
+    const scenario::RunResult r = scenario::run(s, cfg);
     // Synchronizer-path protocols must terminate; an open-loop run capped
     // mid-livelock (free-for-all past saturation) is a valid, deterministic
     // row — the backlog is the result.

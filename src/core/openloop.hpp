@@ -245,7 +245,7 @@ sim::AsyncProcessFactory make_open_loop_async_factory(
 
 /// Node-major FNV-1a fold over stations [begin, begin + n), starting the
 /// accumulator at h0.  The defaults fold the whole run from the offset
-/// basis; rank mode (scenario/rank_run.hpp) chains per-window folds through
+/// basis; rank mode (scenario/run.cpp) chains per-window folds through
 /// h0 to reproduce the serial digest bit for bit.
 std::uint64_t open_loop_digest(
     NodeId n, const std::function<const OpenLoopStats&(NodeId)>& at,

@@ -14,9 +14,7 @@
 #include "core/partition_det.hpp"
 #include "core/partition_rand.hpp"
 #include "core/size.hpp"
-#include "core/synchronizer.hpp"
 #include "graph/generators.hpp"
-#include "sim/async_engine.hpp"
 #include "support/check.hpp"
 
 namespace mmn::scenario {
@@ -44,165 +42,6 @@ const Scenario* Registry::find(std::string_view name) const {
 Graph make_scenario_graph(const Scenario& s, NodeId n, std::uint64_t seed) {
   return build_topology(
       TopologySpec{s.topology, topology_round_n(s.topology, n), seed});
-}
-
-RunResult run(const Scenario& s, NodeId n, std::uint64_t seed,
-              std::unique_ptr<sim::Scheduler> scheduler, EngineKind engine,
-              double load, std::uint32_t faults) {
-  MMN_REQUIRE(load == 0.0 || s.make_load_factory != nullptr,
-              "scenario is not load-capable (no make_load_factory)");
-  MMN_REQUIRE(faults == 0 || s.make_fault_plan != nullptr,
-              "scenario is not fault-capable (no make_fault_plan)");
-  const Graph g = make_scenario_graph(s, n, seed);
-  RunResult result;
-  result.realized_n = g.num_nodes();
-  // The run seed also feeds the discipline's own lottery stream (the
-  // stabilized-Aloha kinds; the others ignore it — see make_discipline).
-  const double offered = load > 0.0 ? load : s.default_load;
-  const std::uint32_t intensity = faults > 0 ? faults : s.default_faults;
-  sim::FaultPlan plan;
-  if (intensity > 0 && s.make_fault_plan) {
-    plan = s.make_fault_plan(g, intensity, seed);
-  }
-  const bool faulted = !plan.empty();
-
-  if (faulted && s.fault_recovery) {
-    // Two-phase recovery flow.  Phase A steps the protocol serially into
-    // the fault: the round where the kills land runs with in-flight traffic
-    // hitting dead links (dropped and counted), and one round beyond would
-    // start violating the protocol's own invariants — the paper's
-    // deterministic protocols assume reliable links, so the recovery
-    // mechanism is the epoch rebuild, not in-protocol loss tolerance.  The
-    // epoch overlay then compacts the surviving topology into a fresh arena
-    // and phase B re-runs the protocol from scratch on it under the
-    // caller's scheduler; the slots between the fault and the configured
-    // epoch boundary model the detection/rebuild window and bill into
-    // recovery_slots.  The recovery digest folds phase B's protocol result
-    // with the overlay's kill-set word — both are invariant to where the
-    // epoch boundary lands (any boundary past the last fault event yields
-    // the same compacted graph), so recovery runs pin re-convergence
-    // without being sensitive to drop timing.
-    MMN_REQUIRE(engine == EngineKind::kSync,
-                "fault-recovery scenarios run on the synchronous engine");
-    MMN_REQUIRE(s.fault_epoch_slots > 0,
-                "fault-recovery scenarios need fault_epoch_slots");
-    std::uint64_t last_fault = 0;
-    for (const sim::FaultEvent& e : plan.events()) {
-      last_fault = std::max(last_fault, e.slot);
-    }
-    MMN_REQUIRE(s.fault_epoch_slots > last_fault,
-                "the epoch boundary must fall after the last fault event");
-    sim::Engine wounded(g, s.make_factory(g), seed, nullptr,
-                        sim::make_discipline(s.discipline,
-                                             sim::UnslottedConfig{}, seed));
-    wounded.install_faults(plan);
-    wounded.step(last_fault + 1);
-    EpochOverlay& overlay = wounded.faults()->overlay();
-    const EpochOverlay::Compaction compaction = overlay.compact();
-    const Graph& g2 = compaction.graph;
-    sim::Engine eng(g2, s.make_factory(g2), seed, std::move(scheduler),
-                    sim::make_discipline(s.discipline, sim::UnslottedConfig{},
-                                         seed));
-    result.completed = eng.step(s.max_rounds);
-    result.status = result.completed ? sim::RunStatus::kCompleted
-                                     : sim::RunStatus::kSlotCapReached;
-    result.metrics = eng.metrics();
-    result.faults = wounded.faults()->stats();
-    const std::uint64_t first = plan.first_fault_slot();
-    const std::uint64_t phase_a =
-        s.fault_epoch_slots > first ? s.fault_epoch_slots - first : 0;
-    result.recovery_slots = phase_a + eng.metrics().rounds;
-    result.faults.recovery_slots = result.recovery_slots;
-    if (s.digest) {
-      result.digest = digest_mix(
-          s.digest(NodeResults{g2.num_nodes(),
-                               [&eng](NodeId v) -> const sim::Process& {
-                                 return eng.process(v);
-                               }}),
-          overlay.digest_word());
-    }
-    return result;
-  }
-
-  if (engine == EngineKind::kSync) {
-    sim::Engine eng(g,
-                    s.make_load_factory ? s.make_load_factory(g, offered)
-                                        : s.make_factory(g),
-                    seed, std::move(scheduler),
-                    sim::make_discipline(s.discipline, sim::UnslottedConfig{},
-                                         seed));
-    if (faulted) eng.install_faults(plan);
-    result.completed = eng.step(s.max_rounds);
-    result.status = result.completed ? sim::RunStatus::kCompleted
-                                     : sim::RunStatus::kSlotCapReached;
-    result.metrics = eng.metrics();
-    if (s.digest) {
-      result.digest = s.digest(NodeResults{
-          g.num_nodes(),
-          [&eng](NodeId v) -> const sim::Process& { return eng.process(v); }});
-    }
-    if (faulted) {
-      result.faults = eng.faults()->stats();
-      // The fault trajectory is part of the run's identity: fold it so the
-      // scheduler-equivalence suites cover drop accounting too.
-      if (s.digest) {
-        result.digest = digest_mix(result.digest, result.faults.digest_word());
-      }
-    }
-    return result;
-  }
-  if (s.make_async_load_factory) {
-    // Native asynchronous open-loop path: the stations are AsyncProcesses
-    // driven by the AsyncEngine directly, no synchronizer in between —
-    // deferring disciplines are fine because open-loop stations never read
-    // an idle slot as information.
-    sim::AsyncEngine eng(g, s.make_async_load_factory(g, offered), seed,
-                         s.async_max_delay_slots, std::move(scheduler),
-                         sim::make_discipline(s.discipline,
-                                              sim::UnslottedConfig{}, seed));
-    if (faulted) eng.install_faults(plan);
-    result.metrics = eng.run(s.max_rounds);
-    result.status = eng.status();
-    result.completed = result.status == sim::RunStatus::kCompleted;
-    if (s.digest) {
-      result.digest = s.digest(NodeResults{
-          g.num_nodes(), nullptr,
-          [&eng](NodeId v) -> const sim::AsyncProcess& {
-            return eng.process(v);
-          }});
-    }
-    if (faulted) {
-      result.faults = eng.faults()->stats();
-      if (s.digest) {
-        result.digest = digest_mix(result.digest, result.faults.digest_word());
-      }
-    }
-    return result;
-  }
-  MMN_REQUIRE(!faulted,
-              "fault injection is not supported on the synchronizer path");
-  MMN_REQUIRE(s.channel_free,
-              "scenario uses the channel and cannot run under the "
-              "synchronizer on the asynchronous engine");
-  std::unique_ptr<sim::ChannelDiscipline> discipline =
-      sim::make_discipline(s.discipline, sim::UnslottedConfig{}, seed);
-  MMN_REQUIRE(!discipline->defers(),
-              "a deferring discipline would falsify the synchronizer's "
-              "idle-slot pulses on the asynchronous engine");
-  sim::AsyncEngine eng(g, synchronize(s.make_factory(g)), seed,
-                       s.async_max_delay_slots, std::move(scheduler),
-                       std::move(discipline));
-  result.metrics = eng.run(s.max_rounds);
-  result.status = eng.status();
-  result.completed = result.status == sim::RunStatus::kCompleted;
-  if (s.digest && result.completed) {
-    result.digest = s.digest(NodeResults{
-        g.num_nodes(), [&eng](NodeId v) -> const sim::Process& {
-          return static_cast<const SynchronizerProcess&>(eng.process(v))
-              .inner();
-        }});
-  }
-  return result;
 }
 
 namespace {

@@ -7,19 +7,20 @@
 // registration — the throughput bench, the equivalence suite, and any sweep
 // driver pick it up automatically.
 //
-// Scenarios are engine-generic: run() executes a workload under the
-// synchronous lockstep Engine or — for channel-free workloads, via the
-// busy-tone synchronizer (Section 7.1) — under the asynchronous AsyncEngine,
-// each on either scheduler.  All scenarios are deterministic per (n, seed,
-// engine) and scheduler-independent: run() under a ParallelScheduler returns
-// bit-identical Metrics and digest to a serial run of the same engine (see
-// sim/scheduler.hpp and the async determinism notes in sim/async_engine.hpp).
+// Scenarios are engine-generic: run(s, RunConfig) executes a workload under
+// the synchronous lockstep Engine — on one thread, a thread pool, or split
+// over rank processes — or, for channel-free workloads via the busy-tone
+// synchronizer (Section 7.1), under the asynchronous AsyncEngine.  All
+// scenarios are deterministic per (n, seed, engine) and independent of the
+// thread and rank counts: every configuration returns bit-identical Metrics
+// and digest to a serial run of the same engine (see sim/scheduler.hpp,
+// sim/shard_comm.hpp and the async determinism notes in
+// sim/async_engine.hpp).
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -50,7 +51,7 @@ struct NodeResults {
   /// scenarios, which run AsyncProcesses without the synchronizer); digest
   /// implementations that support both engines side-cast whichever is set.
   std::function<const sim::AsyncProcess&(NodeId)> at_async = nullptr;
-  /// Digest window for rank-mode chaining (scenario/rank_run.hpp): digests
+  /// Digest window for rank-mode chaining (RunConfig::ranks): digests
   /// fold node ids [begin, begin + n) starting from accumulator h0, so rank
   /// r folds its own window over rank r-1's partial hash and the chain ends
   /// bit-identical to the serial whole-run fold.  The defaults (0 and the
@@ -136,6 +137,19 @@ struct Scenario {
   std::uint64_t fault_epoch_slots = 0;
 };
 
+/// Stepping and wire counters of a synchronous run.  `rounds` and
+/// `node_steps` are filled on every synchronous run; the cross-shard
+/// counters only on runs with ranks > 1.  Zero on asynchronous runs.
+struct ShardStats {
+  std::uint64_t xshard_msgs = 0;     ///< cross-shard headers sent, all ranks
+  std::uint64_t boundary_edges = 0;  ///< edges with endpoints in two shards
+  std::uint64_t wire_bytes = 0;      ///< transport bytes sent, all ranks
+  std::uint64_t rounds = 0;          ///< rounds run (replicated count)
+  /// Node-steps dispatched (Engine::node_steps), summed over ranks — equal
+  /// to the serial Engine's count, since ranks sleep exactly like it.
+  std::uint64_t node_steps = 0;
+};
+
 struct RunResult {
   Metrics metrics;
   std::uint64_t digest = 0;  ///< 0 when the scenario has no digest fn
@@ -154,6 +168,23 @@ struct RunResult {
   /// Recovery scenarios: slots from the first fault event until phase B
   /// re-converged (phase-A remainder + phase-B rounds).
   std::uint64_t recovery_slots = 0;
+  ShardStats shard;
+};
+
+/// How run() executes a scenario.  Every axis but n and seed defaults to
+/// the plain serial synchronous run.
+struct RunConfig {
+  NodeId n = 0;  ///< nominal size; the topology family rounds it
+  std::uint64_t seed = 0;
+  unsigned threads = 1;  ///< scheduler threads; 1 = serial
+  /// Rank processes (sim/shard_comm.hpp).  ranks > 1 forks the run: each
+  /// rank builds only its node window and steps it with a serial scheduler.
+  unsigned ranks = 1;
+  EngineKind engine = EngineKind::kSync;
+  /// Offered load of a load-capable scenario; 0 = its default_load.
+  double load = 0.0;
+  /// Fault intensity of a fault-capable scenario; 0 = its default_faults.
+  std::uint32_t faults = 0;
 };
 
 class Registry {
@@ -180,21 +211,23 @@ void register_builtin();
 /// topology family at topology_round_n(s.topology, n) nodes.
 Graph make_scenario_graph(const Scenario& s, NodeId n, std::uint64_t seed);
 
-/// Runs one scenario at size n: generate the graph, build the engine of the
-/// requested kind under `scheduler` (null = serial), run to completion,
-/// digest the results.  EngineKind::kAsync runs load-capable scenarios
-/// natively on the AsyncEngine (make_async_load_factory); all other
-/// scenarios require s.channel_free and go through the busy-tone
-/// synchronizer.  A run that exhausts s.max_rounds rounds/slots reports
-/// completed == false instead of aborting.  `load` > 0 selects the offered
-/// load of a load-capable scenario (0 = its default_load; rejected for
-/// scenarios without make_load_factory).  `faults` > 0 selects the fault
-/// intensity of a fault-capable scenario (0 = its default_faults; rejected
-/// for scenarios without make_fault_plan).
-RunResult run(const Scenario& s, NodeId n, std::uint64_t seed,
-              std::unique_ptr<sim::Scheduler> scheduler = nullptr,
-              EngineKind engine = EngineKind::kSync, double load = 0.0,
-              std::uint32_t faults = 0);
+/// Why run() refuses (s, cfg), or nullptr when the pair can run.  The
+/// rules: `load` needs a load-capable scenario and `faults` a fault-capable
+/// one; kAsync needs the native-async load factory or a channel-free,
+/// fault-free protocol under a non-deferring discipline (the busy-tone
+/// synchronizer); the two-phase recovery scenarios run on the synchronous
+/// engine in one process; ranks > 1 runs the synchronous engine only, one
+/// serial process per rank.
+const char* unsupported_reason(const Scenario& s, const RunConfig& cfg);
+
+/// Runs one scenario: generate the graph, build the engine cfg asks for,
+/// run to completion, digest the results.  ranks > 1 forks the ranks and
+/// returns rank 0's assembled result, bit-identical (digest, metrics and
+/// fault stats) to the serial run's.  A run that exhausts s.max_rounds
+/// rounds/slots reports completed == false instead of aborting.  Throws
+/// std::invalid_argument, before any work, when unsupported_reason(s, cfg)
+/// names a reason.
+RunResult run(const Scenario& s, const RunConfig& cfg);
 
 /// FNV-1a fold helper for digest implementations.
 inline std::uint64_t digest_mix(std::uint64_t h, std::uint64_t word) {

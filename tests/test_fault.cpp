@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,7 +18,6 @@
 #include "scenario/registry.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault.hpp"
-#include "sim/scheduler.hpp"
 
 namespace mmn {
 namespace {
@@ -225,7 +223,8 @@ TEST(FaultRecovery, PartitionAndMstReconvergeToPinnedDigests) {
   for (const Pin& pin : pins) {
     const scenario::Scenario* s = scenario::Registry::instance().find(pin.name);
     ASSERT_NE(s, nullptr) << pin.name;
-    const scenario::RunResult r = scenario::run(*s, 64, s->default_seed);
+    const scenario::RunResult r =
+        scenario::run(*s, {.n = 64, .seed = s->default_seed});
     EXPECT_TRUE(r.completed) << pin.name;
     EXPECT_EQ(r.status, sim::RunStatus::kCompleted) << pin.name;
     EXPECT_EQ(r.digest, pin.digest) << pin.name;
@@ -242,8 +241,10 @@ TEST(FaultRecovery, DigestIsInvariantToEpochBoundaryPlacement) {
   ASSERT_NE(base, nullptr);
   scenario::Scenario late = *base;  // same kills, later compaction
   late.fault_epoch_slots = 160;
-  const scenario::RunResult at96 = scenario::run(*base, 64, base->default_seed);
-  const scenario::RunResult at160 = scenario::run(late, 64, base->default_seed);
+  const scenario::RunResult at96 =
+      scenario::run(*base, {.n = 64, .seed = base->default_seed});
+  const scenario::RunResult at160 =
+      scenario::run(late, {.n = 64, .seed = base->default_seed});
   // Any boundary past the last fault event compacts the same surviving
   // graph, so phase B and the kill-set word — hence the digest — agree;
   // only the billed detection window (recovery_slots) moves.
@@ -256,10 +257,11 @@ TEST(FaultRecovery, SerialAndParallelRunsAreBitIdentical) {
   for (const char* name : {"fault/partition/det/random", "fault/mst/random"}) {
     const scenario::Scenario* s = scenario::Registry::instance().find(name);
     ASSERT_NE(s, nullptr) << name;
-    const scenario::RunResult serial = scenario::run(*s, 64, s->default_seed);
+    const scenario::RunResult serial =
+        scenario::run(*s, {.n = 64, .seed = s->default_seed});
     for (const unsigned threads : {2u, 4u, 8u}) {
       const scenario::RunResult parallel = scenario::run(
-          *s, 64, s->default_seed, sim::make_scheduler(threads));
+          *s, {.n = 64, .seed = s->default_seed, .threads = threads});
       EXPECT_EQ(parallel.digest, serial.digest)
           << name << " with " << threads << " threads";
       EXPECT_EQ(parallel.metrics.rounds, serial.metrics.rounds);
@@ -279,11 +281,14 @@ TEST(FaultChurn, BothEnginesAreSchedulerInvariant) {
   for (const scenario::EngineKind kind :
        {scenario::EngineKind::kSync, scenario::EngineKind::kAsync}) {
     const scenario::RunResult serial =
-        scenario::run(*s, 64, s->default_seed, nullptr, kind);
+        scenario::run(*s, {.n = 64, .seed = s->default_seed, .engine = kind});
     EXPECT_GT(serial.faults.link_downs + serial.faults.node_crashes, 0u);
     for (const unsigned threads : {2u, 4u, 8u}) {
-      const scenario::RunResult parallel = scenario::run(
-          *s, 64, s->default_seed, sim::make_scheduler(threads), kind);
+      const scenario::RunResult parallel =
+          scenario::run(*s, {.n = 64,
+                             .seed = s->default_seed,
+                             .threads = threads,
+                             .engine = kind});
       EXPECT_EQ(parallel.digest, serial.digest)
           << (kind == scenario::EngineKind::kSync ? "sync" : "async")
           << " with " << threads << " threads";

@@ -1,4 +1,4 @@
-// Sharded execution (sim/shard_comm.hpp, scenario/rank_run.hpp): windowed
+// Sharded execution (sim/shard_comm.hpp, RunConfig::ranks): windowed
 // graph builds must reproduce the full build's owned rows bit for bit, the
 // socketpair transport must swap arbitrary blobs, and a sharded scenario
 // run must produce the serial run's digest, metrics, and fault stats
@@ -15,9 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
-#include "scenario/rank_run.hpp"
 #include "scenario/registry.hpp"
-#include "sim/engine.hpp"
 #include "sim/fault.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/shard_comm.hpp"
@@ -28,7 +26,7 @@ namespace {
 
 using scenario::Registry;
 using scenario::RunResult;
-using scenario::ShardStats;
+using scenario::RunConfig;
 
 void expect_windows_match_full(const TopologySpec& spec, unsigned ranks) {
   const Graph full = build_topology(spec);
@@ -106,11 +104,11 @@ void expect_sharded_matches_serial(const char* name, NodeId n,
   const scenario::Scenario* s = Registry::instance().find(name);
   ASSERT_NE(s, nullptr) << name;
   const RunResult serial =
-      run(*s, n, seed, nullptr, scenario::EngineKind::kSync, 0.0, faults);
+      run(*s, RunConfig{.n = n, .seed = seed, .faults = faults});
   for (unsigned ranks : {1u, 2u, 4u}) {
-    ShardStats stats;
-    const RunResult sharded =
-        run_sharded(*s, n, seed, ranks, 0.0, faults, &stats);
+    const RunResult sharded = run(
+        *s, RunConfig{.n = n, .seed = seed, .ranks = ranks, .faults = faults});
+    const scenario::ShardStats& stats = sharded.shard;
     EXPECT_EQ(sharded.digest, serial.digest)
         << name << " n=" << n << " ranks=" << ranks;
     EXPECT_TRUE(sharded.metrics == serial.metrics)
@@ -152,8 +150,8 @@ TEST(RankRun, FaultChurnMatchesSerial) {
 // declarations — so the sleeping engine must reproduce it exactly: digest,
 // every Metrics field and every FaultStats field, at the scenario's
 // smallest sweep size and default seed.  One row per registry entry
-// run_sharded accepts; a new entry fails the coverage check below until
-// its row is added.
+// run() accepts at ranks > 1; a new entry fails the coverage check below
+// until its row is added.
 struct DenseGolden {
   const char* name;
   NodeId n;
@@ -264,8 +262,8 @@ TEST(RankRun, EveryScenarioMatchesItsDenseGolden) {
   scenario::register_builtin();
   std::size_t shardable = 0;
   for (const scenario::Scenario& s : Registry::instance().all()) {
-    if (s.fault_recovery && s.default_faults > 0) continue;  // not shardable
-    ++shardable;
+    const RunConfig sharded{.n = s.sweep_n.front(), .ranks = 2};
+    if (scenario::unsupported_reason(s, sharded) == nullptr) ++shardable;
   }
   EXPECT_EQ(shardable, std::size(kDenseGolden))
       << "every shardable registry entry needs a dense golden row";
@@ -274,10 +272,13 @@ TEST(RankRun, EveryScenarioMatchesItsDenseGolden) {
     ASSERT_NE(s, nullptr) << want.name;
     ASSERT_EQ(s->sweep_n.front(), want.n) << want.name;
     const std::uint64_t seed = s->default_seed;
-    expect_golden(want, run(*s, want.n, seed), "serial");
-    expect_golden(want, run(*s, want.n, seed, sim::make_scheduler(4)), "t4");
-    expect_golden(want, run_sharded(*s, want.n, seed, 2), "r2");
-    expect_golden(want, run_sharded(*s, want.n, seed, 4), "r4");
+    expect_golden(want, run(*s, {.n = want.n, .seed = seed}), "serial");
+    expect_golden(want, run(*s, {.n = want.n, .seed = seed, .threads = 4}),
+                  "t4");
+    expect_golden(want, run(*s, {.n = want.n, .seed = seed, .ranks = 2}),
+                  "r2");
+    expect_golden(want, run(*s, {.n = want.n, .seed = seed, .ranks = 4}),
+                  "r4");
   }
 }
 
@@ -293,18 +294,15 @@ TEST(RankRun, RanksDispatchTheSerialNodeSteps) {
     const scenario::Scenario* s = Registry::instance().find(c.name);
     ASSERT_NE(s, nullptr) << c.name;
     const std::uint64_t seed = s->default_seed;
-    const Graph g = scenario::make_scenario_graph(*s, c.n, seed);
-    sim::Engine serial(g, s->make_factory(g), seed, nullptr,
-                       sim::make_discipline(s->discipline,
-                                            sim::UnslottedConfig{}, seed));
-    ASSERT_TRUE(serial.step(s->max_rounds)) << c.name;
-    EXPECT_LT(serial.node_steps(),
-              std::uint64_t{g.num_nodes()} * serial.metrics().rounds)
+    const RunResult serial = run(*s, {.n = c.n, .seed = seed});
+    ASSERT_TRUE(serial.completed) << c.name;
+    EXPECT_LT(serial.shard.node_steps,
+              std::uint64_t{serial.realized_n} * serial.metrics.rounds)
         << c.name << ": the serial engine slept no node";
     for (unsigned ranks : {2u, 4u}) {
-      ShardStats stats;
-      run_sharded(*s, c.n, seed, ranks, 0.0, 0, &stats);
-      EXPECT_EQ(stats.node_steps, serial.node_steps())
+      const RunResult sharded =
+          run(*s, {.n = c.n, .seed = seed, .ranks = ranks});
+      EXPECT_EQ(sharded.shard.node_steps, serial.shard.node_steps)
           << c.name << " ranks=" << ranks;
     }
   }
@@ -314,12 +312,11 @@ TEST(RankRun, CrossShardTrafficIsCounted) {
   scenario::register_builtin();
   const scenario::Scenario* s = Registry::instance().find("global/min/rand/ring");
   ASSERT_NE(s, nullptr);
-  ShardStats stats;
-  const RunResult r = run_sharded(*s, 64, 7, 2, 0.0, 0, &stats);
+  const RunResult r = run(*s, {.n = 64, .seed = 7, .ranks = 2});
   EXPECT_NE(r.digest, 0u);
   // A ring split in two windows routes every wrap-around hop cross-shard.
-  EXPECT_GT(stats.xshard_msgs, 0u);
-  EXPECT_EQ(stats.boundary_edges, 2u);
+  EXPECT_GT(r.shard.xshard_msgs, 0u);
+  EXPECT_EQ(r.shard.boundary_edges, 2u);
 }
 
 }  // namespace

@@ -46,12 +46,12 @@ TEST(ScenarioRegistry, RunsAreDeterministicPerSeed) {
   register_builtin();
   const Scenario* s = Registry::instance().find("global/min/rand/ring");
   ASSERT_NE(s, nullptr);
-  const RunResult a = run(*s, 64, 11);
-  const RunResult b = run(*s, 64, 11);
+  const RunResult a = run(*s, {.n = 64, .seed = 11});
+  const RunResult b = run(*s, {.n = 64, .seed = 11});
   EXPECT_TRUE(a.metrics == b.metrics);
   EXPECT_EQ(a.digest, b.digest);
   EXPECT_EQ(a.realized_n, 64u);
-  const RunResult c = run(*s, 64, 12);
+  const RunResult c = run(*s, {.n = 64, .seed = 12});
   // A different seed changes the randomized schedule (metrics), never the
   // computed global value for the same inputs.
   EXPECT_EQ(a.digest, c.digest);
@@ -61,7 +61,7 @@ TEST(ScenarioRegistry, GridFamilyReportsRealizedSize) {
   register_builtin();
   const Scenario* s = Registry::instance().find("global/min/p2p/grid");
   ASSERT_NE(s, nullptr);
-  const RunResult r = run(*s, 60, 7);  // rounds to an 8x8 grid
+  const RunResult r = run(*s, {.n = 60, .seed = 7});  // rounds to an 8x8 grid
   EXPECT_EQ(r.realized_n, 64u);
   EXPECT_GT(r.metrics.rounds, 0u);
 }
@@ -71,14 +71,14 @@ TEST(ScenarioRegistry, ChannelDisciplineAndAnonymousScenariosRegistered) {
   const Scenario* tdma = Registry::instance().find("global/max/tdma/ring");
   ASSERT_NE(tdma, nullptr);
   EXPECT_FALSE(tdma->channel_free);  // TDMA is a channel discipline
-  const RunResult t = run(*tdma, 64, 7);
+  const RunResult t = run(*tdma, {.n = 64, .seed = 7});
   // The fixed schedule costs one slot per station plus the final quiet slot.
   EXPECT_EQ(t.metrics.rounds, 65u);
   EXPECT_EQ(t.metrics.p2p_messages, 0u);
 
   const Scenario* anon = Registry::instance().find("partition/anon/random");
   ASSERT_NE(anon, nullptr);
-  const RunResult a = run(*anon, 64, 7);
+  const RunResult a = run(*anon, {.n = 64, .seed = 7});
   EXPECT_GT(a.metrics.rounds, 0u);
   EXPECT_NE(a.digest, 0u);
 }
@@ -90,9 +90,9 @@ TEST(ScenarioRegistry, AsyncRunMatchesSyncResultsForChannelFreeScenarios) {
     if (!s.channel_free) continue;
     ++checked;
     const NodeId n = s.sweep_n.front();
-    const RunResult sync = run(s, n, s.default_seed);
+    const RunResult sync = run(s, {.n = n, .seed = s.default_seed});
     const RunResult async =
-        run(s, n, s.default_seed, nullptr, EngineKind::kAsync);
+        run(s, {.n = n, .seed = s.default_seed, .engine = EngineKind::kAsync});
     EXPECT_TRUE(async.completed) << s.name;
     // Different engine, different schedule — but the same computed results.
     EXPECT_EQ(sync.digest, async.digest) << s.name;
@@ -103,13 +103,46 @@ TEST(ScenarioRegistry, AsyncRunMatchesSyncResultsForChannelFreeScenarios) {
   EXPECT_GE(checked, 2);
 }
 
-TEST(ScenarioRegistry, AsyncRunRejectsChannelUsingScenarios) {
+// Every configuration run() refuses is named by unsupported_reason, and
+// run() throws before any graph is built or any rank is forked.
+TEST(ScenarioRegistry, UnsupportedConfigurationsAreRejectedUpFront) {
   register_builtin();
-  const Scenario* s = Registry::instance().find("mst/random");
-  ASSERT_NE(s, nullptr);
-  ASSERT_FALSE(s->channel_free);
-  EXPECT_THROW(run(*s, 64, 7, nullptr, EngineKind::kAsync),
-               std::invalid_argument);
+  const Registry& reg = Registry::instance();
+  const struct {
+    const char* scenario;
+    RunConfig cfg;
+    const char* what;
+  } rejected[] = {
+      {"mst/random", {.n = 64, .seed = 7, .engine = EngineKind::kAsync},
+       "async on a channel scenario"},
+      {"global/min/rand/ring", {.n = 64, .seed = 7, .load = 0.5},
+       "load on a closed-loop scenario"},
+      {"global/min/rand/ring", {.n = 64, .seed = 7, .faults = 2},
+       "faults without a fault plan"},
+      {"fault/mst/random", {.n = 64, .seed = 7, .ranks = 2},
+       "recovery scenario over ranks"},
+      {"fault/mst/random", {.n = 64, .seed = 7, .engine = EngineKind::kAsync},
+       "recovery scenario on the async engine"},
+      {"global/min/rand/ring", {.n = 64, .seed = 7, .threads = 4, .ranks = 2},
+       "ranks with threads"},
+      {"global/min/rand/ring",
+       {.n = 64, .seed = 7, .ranks = 2, .engine = EngineKind::kAsync},
+       "ranks on the async engine"},
+  };
+  for (const auto& row : rejected) {
+    const Scenario* s = reg.find(row.scenario);
+    ASSERT_NE(s, nullptr) << row.scenario;
+    EXPECT_NE(unsupported_reason(*s, row.cfg), nullptr) << row.what;
+    EXPECT_THROW(run(*s, row.cfg), std::invalid_argument) << row.what;
+  }
+  for (const Scenario& s : reg.all()) {
+    RunConfig cfg{.n = s.sweep_n.front(), .seed = s.default_seed};
+    EXPECT_EQ(unsupported_reason(s, cfg), nullptr) << s.name;
+    cfg.engine = EngineKind::kAsync;
+    if (s.channel_free || s.make_async_load_factory) {
+      EXPECT_EQ(unsupported_reason(s, cfg), nullptr) << s.name << "@async";
+    }
+  }
 }
 
 }  // namespace

@@ -52,10 +52,11 @@ TEST(SchedulerEquivalence, AllScenariosMatchSerialAcrossThreadCounts) {
   ASSERT_GE(disciplined, 4);
   for (const scenario::Scenario& s : scenarios) {
     const NodeId n = s.sweep_n.front();
-    const scenario::RunResult serial = scenario::run(s, n, s.default_seed);
+    const scenario::RunResult serial =
+        scenario::run(s, {.n = n, .seed = s.default_seed});
     for (unsigned threads : kThreadCounts) {
       const scenario::RunResult parallel = scenario::run(
-          s, n, s.default_seed, sim::make_scheduler(threads));
+          s, {.n = n, .seed = s.default_seed, .threads = threads});
       EXPECT_TRUE(serial.metrics == parallel.metrics)
           << s.name << " with " << threads << " threads: metrics diverged\n"
           << "serial:   " << serial.metrics.to_string() << "\n"
@@ -90,15 +91,15 @@ TEST(SchedulerEquivalence, ScalarAndSimdDispatchBitIdentical) {
 
     simd::set_level_override(simd::Level::kScalar);
     const scenario::RunResult scalar_serial =
-        scenario::run(s, n, s.default_seed);
+        scenario::run(s, {.n = n, .seed = s.default_seed});
     const scenario::RunResult scalar_par =
-        scenario::run(s, n, s.default_seed, sim::make_scheduler(4));
+        scenario::run(s, {.n = n, .seed = s.default_seed, .threads = 4});
 
     simd::clear_level_override();  // back to the detected level
     const scenario::RunResult native_serial =
-        scenario::run(s, n, s.default_seed);
+        scenario::run(s, {.n = n, .seed = s.default_seed});
     const scenario::RunResult native_par =
-        scenario::run(s, n, s.default_seed, sim::make_scheduler(4));
+        scenario::run(s, {.n = n, .seed = s.default_seed, .threads = 4});
 
     EXPECT_TRUE(scalar_serial.metrics == native_serial.metrics)
         << s.name << ": serial metrics diverged across dispatch levels\n"
@@ -192,12 +193,16 @@ TEST(SchedulerEquivalence, AsyncScenariosMatchSerialAcrossThreadCounts) {
     ++async_capable;
     const NodeId n = s.sweep_n.front();
     const scenario::RunResult serial = scenario::run(
-        s, n, s.default_seed, nullptr, scenario::EngineKind::kAsync);
+        s, {.n = n,
+            .seed = s.default_seed,
+            .engine = scenario::EngineKind::kAsync});
     ASSERT_TRUE(serial.completed) << s.name;
     for (unsigned threads : kThreadCounts) {
       const scenario::RunResult parallel =
-          scenario::run(s, n, s.default_seed, sim::make_scheduler(threads),
-                        scenario::EngineKind::kAsync);
+          scenario::run(s, {.n = n,
+                            .seed = s.default_seed,
+                            .threads = threads,
+                            .engine = scenario::EngineKind::kAsync});
       EXPECT_TRUE(parallel.completed) << s.name;
       EXPECT_TRUE(serial.metrics == parallel.metrics)
           << s.name << " async with " << threads

@@ -267,20 +267,26 @@ TEST(OpenLoopSaturation, CappedRunsReportStatusWithIntactQos) {
   const scenario::Scenario* pb =
       scenario::Registry::instance().find("load/poisson/pb/ring");
   ASSERT_NE(pb, nullptr);
-  const scenario::RunResult sync_run = scenario::run(
-      *pb, 64, pb->default_seed, nullptr, scenario::EngineKind::kSync, 6.0);
+  const scenario::RunResult sync_run =
+      scenario::run(*pb, {.n = 64, .seed = pb->default_seed, .load = 6.0});
   EXPECT_FALSE(sync_run.completed);
   EXPECT_EQ(sync_run.status, sim::RunStatus::kSlotCapReached);
   const scenario::Scenario* ffa =
       scenario::Registry::instance().find("load/poisson/ffa/ring");
   ASSERT_NE(ffa, nullptr);
-  const scenario::RunResult async_run = scenario::run(
-      *ffa, 64, ffa->default_seed, nullptr, scenario::EngineKind::kAsync, 1.5);
+  const scenario::RunResult async_run =
+      scenario::run(*ffa, {.n = 64,
+                           .seed = ffa->default_seed,
+                           .engine = scenario::EngineKind::kAsync,
+                           .load = 1.5});
   EXPECT_FALSE(async_run.completed);
   EXPECT_EQ(async_run.status, sim::RunStatus::kSlotCapReached);
-  const scenario::RunResult async_parallel = scenario::run(
-      *ffa, 64, ffa->default_seed, sim::make_scheduler(4),
-      scenario::EngineKind::kAsync, 1.5);
+  const scenario::RunResult async_parallel =
+      scenario::run(*ffa, {.n = 64,
+                           .seed = ffa->default_seed,
+                           .threads = 4,
+                           .engine = scenario::EngineKind::kAsync,
+                           .load = 1.5});
   EXPECT_EQ(async_parallel.digest, async_run.digest);
   EXPECT_EQ(async_parallel.status, async_run.status);
 }
@@ -315,10 +321,14 @@ TEST(OpenLoopEquivalence, NativeAsyncLoadRunsAreSchedulerInvariant) {
       scenario::Registry::instance().find("load/poisson/resv/ring");
   ASSERT_NE(s, nullptr);
   const scenario::RunResult serial = scenario::run(
-      *s, 64, s->default_seed, nullptr, scenario::EngineKind::kAsync);
+      *s, {.n = 64,
+           .seed = s->default_seed,
+           .engine = scenario::EngineKind::kAsync});
   const scenario::RunResult parallel = scenario::run(
-      *s, 64, s->default_seed, sim::make_scheduler(4),
-      scenario::EngineKind::kAsync);
+      *s, {.n = 64,
+           .seed = s->default_seed,
+           .threads = 4,
+           .engine = scenario::EngineKind::kAsync});
   EXPECT_EQ(parallel.digest, serial.digest);
   EXPECT_EQ(parallel.metrics.rounds, serial.metrics.rounds);
   EXPECT_EQ(parallel.completed, serial.completed);
